@@ -1,6 +1,6 @@
 """Command-line interface: compress, decompress, access, extract, stats, gen, verify.
 
-Exit codes: 0 ok, 1 usage error, 2 data error.  Token-mode inputs are
+Exit codes: 0 ok, 1 usage error, 2 data or internal error.  Token-mode inputs are
 detected by the LZTK magic; everything else is treated as bytes.
 """
 
@@ -202,7 +202,8 @@ def main(argv=None) -> int:
         return 1 if ex.code else 0
     try:
         return args.func(args)
-    except (OSError, ValueError) as ex:
+    except (OSError, ValueError, RuntimeError) as ex:
+        # RuntimeError: an internal invariant broke (e.g. a third trie mark)
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -372,7 +372,12 @@ def _last_symbol_is_delimiter(slp: Slp, is_delimiter: Callable[[int], bool]) -> 
 # -- grammar interchange format ----------------------------------------------
 
 def format_grammar(g: Cfg) -> str:
-    """Line-oriented text form, start rule first: ``R1 -> R2 'a' 98``."""
+    """Line-oriented text form, start rule first: ``R1 -> R2 'a' 98``.
+
+    Printable symbols other than the space are quoted; every other symbol,
+    the space (32) included, is written as its number so that the
+    whitespace split in :func:`parse_grammar` sees one item per symbol.
+    """
     names: dict[int, str] = {}
     counter = 0
     for x in [g.start] + [x for x in g.rules if x != g.start]:
@@ -382,7 +387,7 @@ def format_grammar(g: Cfg) -> str:
     def fmt(sym: int) -> str:
         if sym in names:
             return names[sym]
-        if 32 <= sym < 127:
+        if 32 < sym < 127:
             return f"'{chr(sym)}'"
         return str(sym)
 

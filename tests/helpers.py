@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from lzse.factorization import Char, Copy, Factorization
 from lzse.text import Text
 
@@ -27,6 +29,63 @@ def brute_lcp(text: Text, p: int, q: int) -> int:
     while p + d <= n and q + d <= n and text[p + d - 1] == text[q + d - 1]:
         d += 1
     return d
+
+
+def _lexsort_suffixes(symbols) -> np.ndarray:
+    """0-based suffix array by prefix doubling over two-key numpy lexsort."""
+    n = len(symbols)
+    rank = np.asarray(symbols, dtype=np.int64)
+    k = 1
+    while True:
+        # pad with -1 so shorter suffixes sort first
+        shifted = np.full(n, -1, dtype=np.int64)
+        if k < n:
+            shifted[: n - k] = rank[k:]
+        order = np.lexsort((shifted, rank))
+        changed = np.empty(n, dtype=np.int64)
+        changed[0] = 0
+        changed[1:] = (rank[order][1:] != rank[order][:-1]) | (
+            shifted[order][1:] != shifted[order][:-1]
+        )
+        new_rank = np.empty(n, dtype=np.int64)
+        new_rank[order] = np.cumsum(changed)
+        rank = new_rank
+        if rank[order[-1]] == n - 1:
+            return order
+        k *= 2
+
+
+def _kasai_lcp(symbols, sa0, isa0) -> list[int]:
+    n = len(symbols)
+    lcp = [0] * n
+    h = 0
+    for p in range(n):
+        r = isa0[p]
+        if r == 0:
+            h = 0
+            continue
+        q = sa0[r - 1]
+        while p + h < n and q + h < n and symbols[p + h] == symbols[q + h]:
+            h += 1
+        lcp[r] = h
+        if h:
+            h -= 1
+    return lcp
+
+
+def suffix_index_reference(text: Text) -> tuple[list[int], list[int], list[int]]:
+    """Reference (sa, isa, lcp) for ``build_suffix_index``, built another way:
+    lexsort prefix doubling from single symbols, then Kasai's LCP scan."""
+    symbols = text.symbols
+    n = len(symbols)
+    if n == 0:
+        return [], [], []
+    sa0 = _lexsort_suffixes(symbols)
+    isa0 = [0] * n
+    for r, p in enumerate(sa0):
+        isa0[p] = r
+    lcp = _kasai_lcp(symbols, sa0, isa0)
+    return [int(p) + 1 for p in sa0], isa0, lcp
 
 
 def dag_children(fact: Factorization) -> list[list[int]]:

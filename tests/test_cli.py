@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lzse import cli
 from lzse.cli import main
 
 
@@ -96,3 +97,12 @@ def test_usage_and_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.lzse"
     bad.write_bytes(b"GARBAGE")
     assert main(["decompress", str(bad)]) == 2
+
+
+def test_internal_error_exits_2(sample, tmp_path, capsys, monkeypatch):
+    def broken_parser(text):
+        raise RuntimeError("more than two marks on a trie node")
+
+    monkeypatch.setattr(cli, "greedy_factorize", broken_parser)
+    assert main(["compress", str(sample), "-o", str(tmp_path / "x.lzse")]) == 2
+    assert capsys.readouterr().err.startswith("error: more than two marks")

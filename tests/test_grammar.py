@@ -144,6 +144,14 @@ def test_format_parse_roundtrip():
         parse_grammar("no arrow here\n")
 
 
+def test_format_parse_roundtrip_all_byte_symbols():
+    g = Cfg({S: (A, B, 32), A: tuple(range(128)), B: tuple(range(128, 256))}, S)
+    txt = format_grammar(g)
+    items = txt.split()
+    assert items.count("32") == 2 and "'" not in items
+    assert expand(parse_grammar(txt)) == expand(g)
+
+
 def direct_answers(inst, op, lift):
     return [reduce(op, [lift(k - 1) for k in range(l, r + 1)])
             for l, r in inst.queries]

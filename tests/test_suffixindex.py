@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lzse.generators import gen_periodic
 from lzse.suffixindex import RangeArgMin, build_suffix_index, lcp_suffixes
-from lzse.text import Text
+from lzse.text import TOKEN_ALPHABET, Text
 
-from helpers import brute_lcp, brute_suffix_sort, random_text
+from helpers import brute_lcp, brute_suffix_sort, random_text, suffix_index_reference
 
 
 def test_banana_suffix_array():
@@ -89,3 +91,78 @@ def test_range_argmin_random():
             window = arr[i:j + 1]
             expect = i + window.index(min(window))
             assert rmq.argmin(i, j) == expect
+
+
+def _block_repetitive(rng: random.Random, n: int, blocks: int, block_len: int) -> bytes:
+    pool = [bytes(rng.randrange(256) for _ in range(block_len)) for _ in range(blocks)]
+    return b"".join(pool[rng.randrange(blocks)] for _ in range(n // block_len))
+
+
+def _reference_texts():
+    rng = random.Random(2024)
+    yield "block-64KiB", Text.from_bytes(_block_repetitive(rng, 1 << 16, 16, 256))
+    yield "unary-64KiB", Text.from_bytes(b"a" * (1 << 16))
+    pattern = bytes(rng.randrange(97, 101) for _ in range(97))
+    yield "periodic", gen_periodic(pattern.decode("latin-1"), 200)
+    words = [[rng.randrange(1 << 32) for _ in range(rng.randint(1, 9))]
+             for _ in range(300)]
+    tokens = [t for _ in range(3000) for t in words[rng.randrange(len(words))]]
+    yield "tokens", Text.from_tokens(tokens + [0, (1 << 32) - 1] + tokens[:500])
+
+
+@pytest.mark.parametrize("name,text", list(_reference_texts()),
+                         ids=[name for name, _ in _reference_texts()])
+def test_matches_reference_build(name, text):
+    idx = build_suffix_index(text)
+    sa, isa, lcp = suffix_index_reference(text)
+    assert idx.sa == sa
+    assert idx.isa == isa
+    assert idx.lcp == lcp
+
+
+def _check_against_brute(text: Text) -> None:
+    idx = build_suffix_index(text)
+    n = len(text)
+    assert idx.sa == brute_suffix_sort(text)
+    assert all(idx.isa[p - 1] == r for r, p in enumerate(idx.sa))
+    expect = [0] + [brute_lcp(text, idx.sa[r - 1], idx.sa[r]) for r in range(1, n)]
+    assert idx.lcp == expect[:n]
+
+
+_edge_bytes = st.sampled_from([0, 1, 127, 128, 254, 255])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=10),
+    st.binary(max_size=300),
+    st.lists(_edge_bytes, max_size=40).map(bytes),
+    st.integers(0, 300).map(lambda k: b"\x00" * k),
+    st.integers(0, 300).map(lambda k: b"\xff" * k),
+    st.tuples(st.binary(max_size=60), st.lists(_edge_bytes, min_size=7, max_size=7))
+    .map(lambda t: t[0] + bytes(t[1])),
+))
+def test_byte_texts_match_brute_force(data):
+    _check_against_brute(Text.from_bytes(data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 1500), st.binary(min_size=1, max_size=12), st.binary(max_size=12))
+def test_unary_and_periodic_runs_match_brute_force(n, pattern, tail):
+    _check_against_brute(Text.from_bytes((pattern * (n // len(pattern) + 1))[:n] + tail))
+
+
+_tokens = st.integers(0, TOKEN_ALPHABET - 1)
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.one_of(
+    st.lists(_tokens, max_size=12),
+    st.lists(st.sampled_from([0, 1, (1 << 31) - 1, 1 << 31, (1 << 32) - 1]), max_size=80),
+    # 1500 or more distinct symbols cut the pack width from 7 symbols to 5
+    st.integers(1500, 1800).flatmap(
+        lambda k: st.lists(_tokens, min_size=k, max_size=k, unique=True)
+        .map(lambda t: t + t[: len(t) // 2])),
+))
+def test_token_texts_match_brute_force(tokens):
+    _check_against_brute(Text.from_tokens(tokens))
