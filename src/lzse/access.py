@@ -1,10 +1,12 @@
 """O(log n) random access over an LZSE factorization.
 
 A global IBST over factor spans simulates the jump function; per heavy
-path, a second IBST over the skip coordinates (L_1..L_l, R_l..R_1) finds
-in one search where a jump sequence leaves the path.  All searches after
-the first run from precomputed hints, so the per-query node visits
-telescope to O(log n) and the loop crosses one light edge per iteration.
+path of two or more factors, a second IBST over the skip coordinates
+(L_1..L_l, R_l..R_1) finds in one search where a jump sequence leaves the
+path.  A one-factor path needs no search: it exits EXIT_FINAL at the query
+offset.  All searches after the first run from precomputed hints, so the
+per-query node visits telescope to O(log n) and the loop crosses one light
+edge per iteration.
 """
 
 from __future__ import annotations
@@ -127,8 +129,10 @@ class AccessIndex:
         self.path_skips: list[PathSkip | None] = []
         self.exit_hints: dict[tuple[int, int, int], Hint] = {}
         for pid, path in enumerate(self.paths):
-            if len(path) == 1 and not fact.is_copy(path[0]):
-                self.path_skips.append(None)  # char-only path is never queried
+            if len(path) == 1:
+                # a one-factor path exits EXIT_FINAL at the query offset, and
+                # a char-only path is never queried
+                self.path_skips.append(None)
                 continue
             skip = PathSkip(fact, path)
             self.path_skips.append(skip)
@@ -163,19 +167,22 @@ class AccessIndex:
             iters += 1
             pid, s = self.locator[f - 1]
             skip = self.path_skips[pid]
-            res, vis = skip.exit_query_counted(s, r)
-            visits += vis
-            exit_f = skip.path[res.position - 1]
+            if skip is None:  # one-factor path
+                exit_f, offset, kind = f, r, EXIT_FINAL
+            else:
+                (position, offset, kind), vis = skip.exit_query_counted(s, r)
+                visits += vis
+                exit_f = skip.path[position - 1]
             exit_len = fact.bounds[exit_f] - fact.bounds[exit_f - 1]
             assert exit_len <= prev_len, "path descent reached a longer factor"
             if self._symbols[exit_f - 1] >= 0:
                 f = exit_f  # path ends at a char factor: done
                 break
-            if res.kind == EXIT_FINAL:
+            if kind == EXIT_FINAL:
                 hint = self.src_hints[exit_f]
             else:
-                hint = self.exit_hints[(pid, res.position, res.kind)]
-            q = fact.src_l(exit_f) + res.offset - 1
+                hint = self.exit_hints[(pid, position, kind)]
+            q = fact.src_l(exit_f) + offset - 1
             i, vis = self.global_ibst.search_with_hint_counted(hint, q)
             visits += vis
             f = i + 1

@@ -235,8 +235,7 @@ def _method_artifact(method: str, text: Text, idx: SuffixIndex,
     raise ValueError(f"unknown method {method!r}")
 
 
-def size_report(methods, text: Text, idx: SuffixIndex | None = None,
-                max_workers: int | None = None) -> dict:
+def size_report(methods, text: Text, idx: SuffixIndex | None = None) -> dict:
     """Per-method factor counts, per-stream entropies and total bit costs.
 
     total_bits sums H0(stream) * |stream| over every reported stream; char
@@ -279,12 +278,7 @@ def size_report(methods, text: Text, idx: SuffixIndex | None = None,
         entry["total_bits"] = total_bits
         return method, entry
 
-    if max_workers is not None and max_workers > 1 and len(methods) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = dict(pool.map(one, methods))
-    else:
-        results = dict(one(m) for m in methods)
+    results = dict(one(m) for m in methods)
     report = {"n": len(text), "methods": {m: results[m] for m in methods}}
     if repair_grammar is not None and "repair-se" in methods and "repair" in methods:
         report["repair_se_factors_le_repair_size"] = (

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import archive
@@ -91,9 +90,7 @@ def _cmd_stats(args) -> int:
             print(f"unknown method {m!r}; choose from {', '.join(METHODS)}",
                   file=sys.stderr)
             return 1
-    workers = os.environ.get("LZSE_THREADS")
-    max_workers = int(workers) if workers else None
-    report = size_report(methods, text, max_workers=max_workers)
+    report = size_report(methods, text)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=False))
     else:

@@ -213,13 +213,18 @@ def repair_compress(text: Text) -> Cfg:
     rule.  Rounds are vectorized full rescans, adequate at desk scale.
     """
     n = len(text)
-    rules: dict[int, tuple[int, ...]] = {}
-    next_id = text.alphabet_size
     if n == 0:
         raise GrammarError("cannot build a grammar for the empty text")
-    seq = np.asarray(text.symbols, dtype=np.int64)
-    if n and int(seq.max()) >= 1 << 31:
-        raise GrammarError("symbols must fit 31 bits for pair packing")
+    if n >= 1 << 30:
+        raise GrammarError("text too long for 32-bit pair packing")
+    # Work on dense labels: terminals 0..k-1 in symbol order, then one label
+    # per rule from k.  Labels stay below 2n < 2^31, so a pair packs into one
+    # int64 key; the relabelling is monotone, so every choice is unchanged.
+    terminals, inverse = np.unique(np.asarray(text.symbols, dtype=np.int64),
+                                   return_inverse=True)
+    k = len(terminals)
+    seq = inverse.astype(np.int64, copy=False)
+    label_rules: list[tuple[int, int]] = []
     while len(seq) >= 2:
         left = seq[:-1]
         right = seq[1:]
@@ -251,16 +256,21 @@ def repair_compress(text: Text) -> Cfg:
             starts = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1))
             offset = np.arange(len(match)) - starts[group]
             match = match[offset % 2 == 0]
-        x = next_id
-        next_id += 1
-        rules[x] = (int(a), int(b))
         out = seq.copy()
-        out[match] = x
+        out[match] = k + len(label_rules)
+        label_rules.append((a, b))
         keep = np.ones(len(seq), dtype=bool)
         keep[match + 1] = False
         seq = out[keep]
-    rules[next_id] = tuple(int(v) for v in seq)
-    return Cfg(rules, next_id)
+    base = text.alphabet_size  # rule ids start above the alphabet
+
+    def symbol(label: int) -> int:
+        return int(terminals[label]) if label < k else base + label - k
+
+    rules = {base + t: (symbol(a), symbol(b)) for t, (a, b) in enumerate(label_rules)}
+    start = base + len(label_rules)
+    rules[start] = tuple(symbol(v) for v in seq.tolist())
+    return Cfg(rules, start)
 
 
 class OrspResult(NamedTuple):

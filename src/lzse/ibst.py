@@ -3,9 +3,11 @@
 The tree stores intervals [a_0,a_1), ..., [a_{m-1},a_m); the root of any
 subtree holds the interval containing the integer midpoint of the subtree's
 boundary span, so each child subtree spans at most half of its parent.
-Node ids equal interval indices.  Searching costs O(log(span(start)/
-span(found))) node visits; precomputed hints (three LCA nodes per query
-range) let a search start below the root.
+Node ids equal interval indices, so the tree is a BST over those ids and
+the LCA of nodes u <= v is the first node on the root path whose id lies
+in [u, v].  Searching costs O(log(span(start)/span(found))) node visits;
+precomputed hints (three LCA nodes per query range, each found by that
+root-path descent) let a search start below the root.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ class Hint(NamedTuple):
 
 
 class Ibst:
-    __slots__ = ("boundaries", "m", "root", "left", "right", "parent",
-                 "_euler", "_euler_first", "_euler_table")
+    __slots__ = ("boundaries", "m", "root", "left", "right")
 
     def __init__(self, boundaries):
         b = list(boundaries)
@@ -40,9 +41,7 @@ class Ibst:
         self.m = m
         self.left = [-1] * m
         self.right = [-1] * m
-        self.parent = [-1] * m
         self.root = self._build(0, m)
-        self._build_lca()
 
     def _build(self, lo: int, hi: int) -> int:
         # subtree over intervals lo..hi-1 (boundary range [b[lo], b[hi]))
@@ -55,60 +54,18 @@ class Ibst:
             i = lo
         l = self._build(lo, i)
         r = self._build(i + 1, hi)
-        if l >= 0:
-            self.parent[l] = i
-        if r >= 0:
-            self.parent[r] = i
         self.left[i] = l
         self.right[i] = r
         return i
 
-    def _build_lca(self):
-        # Euler tour + sparse table of minimum depth, indices as payload.
-        # The tour re-visits a node after each child, which LCA-by-RMQ needs.
-        euler: list[int] = []
-        depth: list[int] = []
-        first = [-1] * self.m
-
-        def tour(v: int, d: int) -> None:
-            euler.append(v)
-            depth.append(d)
-            if first[v] < 0:
-                first[v] = len(euler) - 1
-            for ch in (self.left[v], self.right[v]):
-                if ch >= 0:
-                    tour(ch, d + 1)
-                    euler.append(v)
-                    depth.append(d)
-
-        tour(self.root, 0)  # depth is O(log span), recursion is safe
-        self._euler = euler
-        self._euler_first = first
-        # sparse table over (depth, euler position)
-        n = len(euler)
-        table = [list(range(n))]
-        k = 1
-        while (1 << k) <= n:
-            prev = table[-1]
-            half = 1 << (k - 1)
-            cur = []
-            for i in range(n - (1 << k) + 1):
-                a, bb = prev[i], prev[i + half]
-                cur.append(a if depth[a] <= depth[bb] else bb)
-            table.append(cur)
-            k += 1
-        self._euler_table = (depth, table)
-
     def lca(self, u: int, v: int) -> int:
-        lo = self._euler_first[u]
-        hi = self._euler_first[v]
-        if lo > hi:
-            lo, hi = hi, lo
-        depth, table = self._euler_table
-        k = (hi - lo + 1).bit_length() - 1
-        a = table[k][lo]
-        b = table[k][hi - (1 << k) + 1]
-        return self._euler[a if depth[a] <= depth[b] else b]
+        """Lowest common ancestor: the first root-path node with id in [u, v]."""
+        if u > v:
+            u, v = v, u
+        x = self.root
+        while not u <= x <= v:
+            x = self.left[x] if v < x else self.right[x]
+        return x
 
     def interval(self, i: int) -> tuple[int, int]:
         return self.boundaries[i], self.boundaries[i + 1]

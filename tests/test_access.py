@@ -68,12 +68,20 @@ def test_figure_global_boundaries():
 
 
 def test_single_node_path_exit_is_final():
-    ix = build_access_index(FIG)
-    pid, pos = ix.locator[4]  # factor 5, singleton path
-    skip = ix.path_skips[pid]
-    for r in range(1, 5):
-        res = skip.exit_query(1, r)
-        assert res == (1, r, EXIT_FINAL)
+    # a one-factor path always exits EXIT_FINAL at the query offset, so it
+    # carries no skip structure and access jumps straight to its source
+    rng = random.Random(36)
+    text = random_text(rng, 300, 2)
+    for fact in (FIG, greedy_factorize(text)):
+        ix = build_access_index(fact)
+        expected = decode(fact)
+        singles = [pid for pid, path in enumerate(ix.paths) if len(path) == 1]
+        assert singles
+        for pid in singles:
+            assert ix.path_skips[pid] is None
+            f = ix.paths[pid][0]
+            for p in range(fact.bounds[f - 1], fact.bounds[f]):
+                assert ix.access_counted(p)[0] == expected[p - 1]
 
 
 def test_right_exit_interval():

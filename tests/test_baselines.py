@@ -7,7 +7,7 @@ from lzse.baselines import (Lz77Factor, LzssFactor, extract_field_streams,
                             h0, lz77_decode, lz77_factorize, lzss_decode,
                             lzss_factorize, size_report)
 from lzse.factorization import Char, Factorization
-from lzse.generators import gen_orsp, gen_periodic
+from lzse.generators import gen_orsp
 from lzse.grammar import repair_compress
 from lzse.greedy import greedy_factorize
 from lzse.text import Text
@@ -123,13 +123,6 @@ def test_size_report_repair_se_bound():
     rep = size_report(["repair", "repair-se"], t)
     assert rep["repair_se_factors_le_repair_size"]
     assert rep["methods"]["repair-se"]["factors"] <= rep["methods"]["repair"]["grammar_size"]
-
-
-def test_size_report_parallel_matches_serial():
-    t = gen_periodic("abracadabra", 40)
-    serial = size_report(["lz77", "lzss", "lzse"], t)
-    parallel = size_report(["lz77", "lzss", "lzse"], t, max_workers=3)
-    assert serial == parallel
 
 
 def test_orsp_source_stream_entropy():

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from lzse import cli
+from lzse import archive, cli
 from lzse.cli import main
+from lzse.text import Text
 
 
 @pytest.fixture
@@ -48,6 +49,17 @@ def test_repair_se_method(sample, tmp_path):
     assert out.read_bytes() == sample.read_bytes()
 
 
+def test_repair_se_method_token_file(tmp_path):
+    tok = tmp_path / "in.tok"
+    symbols = [7, (1 << 31) + 5, (1 << 32) - 1, 0] * 6 + [(1 << 31) + 5]
+    tok.write_bytes(archive.write_token_text(Text.from_tokens(symbols)))
+    arc = tmp_path / "r.lzse"
+    out = tmp_path / "r.tok"
+    assert main(["compress", str(tok), "--method", "repair-se", "-o", str(arc)]) == 0
+    assert main(["decompress", str(arc), "-o", str(out)]) == 0
+    assert out.read_bytes() == tok.read_bytes()
+
+
 def test_stats_json(sample, capsys):
     rc = main(["stats", str(sample), "--methods",
                "lz77,lzss,lzse,repair,repair-se", "--json"])
@@ -57,13 +69,6 @@ def test_stats_json(sample, capsys):
     assert set(report["methods"]) == {"lz77", "lzss", "lzse", "repair", "repair-se"}
     assert report["methods"]["lzse"]["factors"] == 5
     assert report["repair_se_factors_le_repair_size"] is True
-
-
-def test_stats_respects_thread_env(sample, capsys, monkeypatch):
-    monkeypatch.setenv("LZSE_THREADS", "2")
-    assert main(["stats", str(sample), "--methods", "lzse,lzss", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["methods"]["lzse"]["factors"] == 5
 
 
 def test_stats_unknown_method(sample, capsys):

@@ -127,6 +127,25 @@ def test_repair_roundtrip_random():
         assert expand(repair_compress(t)) == t
 
 
+def test_repair_token_text_with_high_symbols():
+    # token rule ids start at 2^32, above every terminal; pair keys must
+    # not collide for them nor for terminals >= 2^31
+    hi = [(1 << 31) + 5, (1 << 32) - 1]
+    t = Text.from_tokens([0, 1, 2, 3] * 8 + hi * 6 + [0, hi[0], 1] * 5)
+    g = repair_compress(t)
+    assert expand(g) == t
+    assert g.rules[1 << 32] == (0, 1)
+    assert g.rules[(1 << 32) + 1] == (1 << 32, 2)
+    assert all(x >= 1 << 32 for x in g.rules)
+    assert (hi[0], hi[1]) in g.rules.values()
+    assert g.size < len(t)
+    rng = random.Random(27)
+    for _ in range(40):
+        alphabet = [rng.randrange(1 << 32) for _ in range(rng.choice([1, 2, 4]))] + hi
+        t = Text.from_tokens(rng.choice(alphabet) for _ in range(rng.randint(1, 300)))
+        assert expand(repair_compress(t)) == t
+
+
 def test_repair_rejects_empty():
     with pytest.raises(GrammarError):
         repair_compress(Text.from_str(""))

@@ -122,12 +122,27 @@ def test_lca_sanity():
     t = Ibst([1, 2, 3, 5, 8, 12])
     assert t.lca(0, 4) == t.root
     assert t.lca(2, 2) == 2
-    # lca of interval ids always lies between them in in-order position
+    # lca of interval ids always lies between them in in-order position,
+    # and it is the unique shallowest node with an id in that range
     rng = random.Random(8)
     for _ in range(50):
         tree = random_tree(rng, 64)
+        depth = {tree.root: 0}
+        frontier = [tree.root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for ch in (tree.left[v], tree.right[v]):
+                    if ch >= 0:
+                        depth[ch] = depth[v] + 1
+                        nxt.append(ch)
+            frontier = nxt
+        assert len(depth) == tree.m
         for _ in range(30):
             u = rng.randrange(tree.m)
             v = rng.randrange(tree.m)
-            a = tree.lca(min(u, v), max(u, v))
-            assert min(u, v) <= a <= max(u, v)
+            lo, hi = min(u, v), max(u, v)
+            a = tree.lca(lo, hi)
+            assert lo <= a <= hi
+            assert tree.lca(hi, lo) == a
+            assert all(depth[x] > depth[a] for x in range(lo, hi + 1) if x != a)
