@@ -3,16 +3,18 @@
 A global IBST over factor spans simulates the jump function; per heavy
 path of two or more factors, a second IBST over the skip coordinates
 (L_1..L_l, R_l..R_1) finds in one search where a jump sequence leaves the
-path.  A one-factor path needs no search: it exits EXIT_FINAL at the query
-offset.  All searches after the first run from precomputed hints, so the
-per-query node visits telescope to O(log n) and the loop crosses one light
-edge per iteration.
+path.  Each of its intervals maps, through an exit table built with the
+index, to the exit factor, the base that turns the skip coordinate into an
+offset inside it, and the global hint for the jump that follows.  A
+one-factor path needs no search: it exits at the query offset, into its
+own source.  All searches after the first run from precomputed hints, so
+the per-query node visits telescope to O(log n) and the loop crosses one
+light edge per iteration.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
 
 from .dag import compute_path_counts, heavy_paths, select_heavy_edges
 from .factorization import Char, Copy, Factorization, validate
@@ -24,79 +26,79 @@ EXIT_RIGHT = 1   # jump target falls after the next path node
 EXIT_FINAL = 2   # jump sequence reaches the last path node
 
 
-class ExitResult(NamedTuple):
-    position: int   # 1-based position on the path where the sequence exits
-    offset: int     # relative offset inside that factor
-    kind: int       # EXIT_LEFT / EXIT_RIGHT / EXIT_FINAL
-
-
 class PathSkip:
     """Skip structure for one heavy path (F_{i_1}, ..., F_{i_l}).
 
     L/R follow the usual recurrences (R_j = L_j + |F_{i_j}|); the interval
-    collection drops empty members but remembers each survivor's (kind,
-    path position).  The query value q = L_s + r_s - 1 is invariant along
-    the in-path jump chain, so one IBST search locates the exit.
+    collection drops empty members.  The query value q = L_s + r_s - 1 is
+    invariant along the in-path jump chain, so one IBST search locates the
+    exit, and exits[idx] = (exit factor, base, hint) resolves it: the offset
+    inside the exit factor is q - base, and the hint covers the part of the
+    global IBST the jump out of that factor lands in (None when the exit
+    factor is a char factor).
     """
 
-    __slots__ = ("path", "L", "R", "ibst", "meta", "pos_hints")
+    __slots__ = ("path", "L", "R", "ibst", "pos_hints", "exits")
 
-    def __init__(self, fact: Factorization, path: list[int]):
+    def __init__(self, fact: Factorization, path: list[int], global_ibst: Ibst,
+                 src_hints: list[Hint | None]):
         ell = len(path)
-        lengths = [fact.length(i) for i in path]
         L = [0] * ell
         for j in range(1, ell):
             gap = fact.pos_l(path[j]) - fact.src_l(path[j - 1])
             L[j] = L[j - 1] + gap
         R = [0] * ell
-        R[ell - 1] = L[ell - 1] + lengths[ell - 1]
+        R[ell - 1] = L[ell - 1] + fact.length(path[ell - 1])
         for j in range(ell - 2, -1, -1):
             gap = fact.src_r(path[j]) - fact.pos_r(path[j + 1])
             R[j] = R[j + 1] + gap
-        assert all(R[j] == L[j] + lengths[j] for j in range(ell))
         self.path = path
         self.L = L
         self.R = R
 
-        seq = [(L[j], EXIT_LEFT, j + 1) for j in range(ell - 1)]
-        seq.append((L[ell - 1], EXIT_FINAL, ell))
-        seq.extend((R[j + 1], EXIT_RIGHT, j + 1) for j in range(ell - 2, -1, -1))
-        seq.append((R[0], -1, 0))  # closing boundary only
+        seq = [(L[j], EXIT_LEFT, j) for j in range(ell - 1)]
+        seq.append((L[ell - 1], EXIT_FINAL, ell - 1))
+        seq.extend((R[j + 1], EXIT_RIGHT, j) for j in range(ell - 2, -1, -1))
+        seq.append((R[0], None, None))  # closing boundary only
         boundaries = []
-        meta = []
-        for t, (value, kind, j) in enumerate(seq[:-1]):
-            nxt = seq[t + 1][0]
-            if nxt > value:  # empty intervals are dropped
-                boundaries.append(value)
-                meta.append((kind, j))
-        boundaries.append(seq[-1][0])
+        exits = []
+        for (value, kind, j), (nxt, _, _) in zip(seq, seq[1:]):
+            if nxt == value:  # empty intervals are dropped
+                continue
+            boundaries.append(value)
+            f = path[j]
+            if kind == EXIT_FINAL:
+                hint = src_hints[f]
+            else:
+                src = fact.factors[f - 1]
+                child = path[j + 1]
+                if kind == EXIT_LEFT:
+                    hint = global_ibst.hint_for(src.start - 1, child - 1)
+                else:
+                    hint = global_ibst.hint_for(child, src.start + src.count - 1)
+            exits.append((f, L[j] - 1, hint))
+        boundaries.append(R[0])
         self.ibst = Ibst(boundaries)
-        self.meta = meta
+        self.exits = exits
         self.pos_hints = [
             self.ibst.hint_for(bisect_left(boundaries, L[j]),
                                bisect_left(boundaries, R[j]))
             for j in range(ell)
         ]
 
-    def exit_query(self, s: int, r: int) -> ExitResult:
-        res, _ = self.exit_query_counted(s, r)
-        return res
-
-    def exit_query_counted(self, s: int, r: int) -> tuple[ExitResult, int]:
-        q = self.L[s - 1] + r - 1
-        idx, visits = self.ibst.search_with_hint_counted(self.pos_hints[s - 1], q)
-        kind, j = self.meta[idx]
-        return ExitResult(j, q - self.L[j - 1] + 1, kind), visits
-
     def size(self) -> tuple[int, int]:
-        """(IBST nodes, hints) for footprint accounting."""
-        return self.ibst.m, len(self.pos_hints)
+        """(IBST nodes, hints) for footprint accounting.
+
+        Every interval but the final one exits through its own LEFT/RIGHT
+        hint; the final one shares its exit factor's source hint.
+        """
+        return self.ibst.m, len(self.pos_hints) + self.ibst.m - 1
 
 
 class AccessIndex:
     """Random-access structure: global IBST, source hints, path skips."""
 
-    __slots__ = ("fact", "n", "global_ibst", "src_hints", "exit_hints",
+    __slots__ = ("fact", "n", "global_ibst", "src_hints", "src_start",
                  "paths", "path_skips", "locator", "_symbols")
 
     def __init__(self, fact: Factorization):
@@ -109,44 +111,32 @@ class AccessIndex:
         if z == 0:
             self.global_ibst = None
             self.src_hints = []
-            self.exit_hints = {}
+            self.src_start = []
             self.paths = []
             self.path_skips = []
             self.locator = []
             self._symbols = []
             return
         self.global_ibst = Ibst(fact.bounds)
-        # hints for each copy factor's source range [srcL, srcR]
+        # start position and hint of each copy factor's source range [srcL, srcR]
         self.src_hints: list[Hint | None] = [None] * (z + 1)
+        self.src_start = [0] * (z + 1)
         for i, f in enumerate(fact.factors, start=1):
             if isinstance(f, Copy):
+                self.src_start[i] = fact.bounds[f.start - 1]
                 self.src_hints[i] = self.global_ibst.hint_for(f.start - 1,
                                                               f.start + f.count - 1)
         s, e, _ = compute_path_counts(fact)
         decomposition = heavy_paths(fact, select_heavy_edges(fact, s, e))
         self.paths = decomposition.paths
         self.locator = decomposition.locator
-        self.path_skips: list[PathSkip | None] = []
-        self.exit_hints: dict[tuple[int, int, int], Hint] = {}
-        for pid, path in enumerate(self.paths):
-            if len(path) == 1:
-                # a one-factor path exits EXIT_FINAL at the query offset, and
-                # a char-only path is never queried
-                self.path_skips.append(None)
-                continue
-            skip = PathSkip(fact, path)
-            self.path_skips.append(skip)
-            for j in range(len(path) - 1):
-                src = fact.factors[path[j] - 1]
-                nxt = path[j + 1]
-                left_lo, left_hi = src.start, nxt - 1
-                if left_lo <= left_hi:
-                    self.exit_hints[(pid, j + 1, EXIT_LEFT)] = \
-                        self.global_ibst.hint_for(left_lo - 1, left_hi)
-                right_lo, right_hi = nxt + 1, src.start + src.count - 1
-                if right_lo <= right_hi:
-                    self.exit_hints[(pid, j + 1, EXIT_RIGHT)] = \
-                        self.global_ibst.hint_for(right_lo - 1, right_hi)
+        # a one-factor path exits at the query offset, and a char-only path
+        # is never queried
+        self.path_skips: list[PathSkip | None] = [
+            None if len(path) == 1
+            else PathSkip(fact, path, self.global_ibst, self.src_hints)
+            for path in self.paths
+        ]
         self._symbols = [f.symbol if isinstance(f, Char) else -1 for f in fact.factors]
 
     def access(self, p: int) -> int:
@@ -157,39 +147,30 @@ class AccessIndex:
         """(symbol, loop iterations, total IBST node visits) for position p."""
         if not 1 <= p <= self.n:
             raise ValueError(f"position {p} out of range 1..{self.n}")
-        fact = self.fact
+        bounds = self.fact.bounds
+        symbols = self._symbols
         i, visits = self.global_ibst.search_counted(p)
         f = i + 1
-        r = p - fact.bounds[i] + 1
         iters = 0
-        prev_len = fact.bounds[f] - fact.bounds[f - 1]
-        while self._symbols[f - 1] < 0:
+        while symbols[f - 1] < 0:
             iters += 1
             pid, s = self.locator[f - 1]
             skip = self.path_skips[pid]
-            if skip is None:  # one-factor path
-                exit_f, offset, kind = f, r, EXIT_FINAL
+            if skip is None:  # one-factor path: jump into f's own source
+                hint = self.src_hints[f]
+                p = self.src_start[f] + p - bounds[f - 1]
             else:
-                (position, offset, kind), vis = skip.exit_query_counted(s, r)
+                q = skip.L[s - 1] + p - bounds[f - 1]
+                idx, vis = skip.ibst.search_with_hint_counted(skip.pos_hints[s - 1], q)
                 visits += vis
-                exit_f = skip.path[position - 1]
-            exit_len = fact.bounds[exit_f] - fact.bounds[exit_f - 1]
-            assert exit_len <= prev_len, "path descent reached a longer factor"
-            if self._symbols[exit_f - 1] >= 0:
-                f = exit_f  # path ends at a char factor: done
-                break
-            if kind == EXIT_FINAL:
-                hint = self.src_hints[exit_f]
-            else:
-                hint = self.exit_hints[(pid, position, kind)]
-            q = fact.src_l(exit_f) + offset - 1
-            i, vis = self.global_ibst.search_with_hint_counted(hint, q)
+                f, base, hint = skip.exits[idx]
+                if hint is None:  # path ends at a char factor: done
+                    break
+                p = self.src_start[f] + q - base - 1
+            i, vis = self.global_ibst.search_with_hint_counted(hint, p)
             visits += vis
             f = i + 1
-            r = q - fact.bounds[i] + 1
-            prev_len = fact.bounds[f] - fact.bounds[f - 1]
-            assert prev_len <= exit_len, "jump reached a longer factor"
-        return self._symbols[f - 1], iters, visits
+        return symbols[f - 1], iters, visits
 
     def extract(self, lo: int, hi: int) -> Text:
         """Symbols at positions lo..hi (1-based, inclusive)."""
@@ -203,7 +184,7 @@ class AccessIndex:
         if self.global_ibst is None:
             return 0, 0
         nodes = self.global_ibst.m
-        hints = sum(1 for h in self.src_hints if h is not None) + len(self.exit_hints)
+        hints = sum(1 for h in self.src_hints if h is not None)
         for skip in self.path_skips:
             if skip is not None:
                 sn, sh = skip.size()

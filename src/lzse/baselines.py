@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .factorization import Char, Copy, Factorization
+from .factorization import Char, Factorization
 from .grammar import Cfg, grammar_to_lzse, repair_compress
 from .suffixindex import SuffixIndex, build_suffix_index
 from .text import Text
@@ -258,9 +258,9 @@ def size_report(methods, text: Text, idx: SuffixIndex | None = None) -> dict:
         fs = extract_field_streams(method, artifact)
         entry: dict = {}
         if method in ("lzse", "repair-se"):
-            fact = artifact if isinstance(artifact, Factorization) else grammar_to_lzse(artifact)
-            entry["factors"] = fact.z
-            entry["copy_factors"] = sum(1 for f in fact.factors if isinstance(f, Copy))
+            # one flag per factor, one source per copy factor
+            entry["factors"] = len(fs.streams["flag"])
+            entry["copy_factors"] = len(fs.streams["source"])
         elif method in ("lz77", "lzss"):
             entry["factors"] = len(artifact)
             entry["copy_factors"] = sum(1 for f in artifact if f.length > 0)

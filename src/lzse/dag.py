@@ -17,21 +17,16 @@ from .suffixindex import RangeArgMin
 def compute_path_counts(fact: Factorization) -> tuple[list[int], list[int], int]:
     """(s, e, nD): per-factor path counts and the number of maximal paths.
 
-    s is filled in increasing index order through a running prefix-sum
-    array (copy ranges only reference earlier indices); e in decreasing
-    order with activation/cancellation events at range ends so each e_i
-    is final before it is distributed.  Nodes that receive nothing are
-    sources and get e_i = 1.  Total work is linear in z.
+    Every path from factor i down to a sink ends at one symbol of F_i's
+    expansion, so s_i = |F_i|.  e is filled in decreasing index order with
+    activation/cancellation events at range ends (copy ranges only reference
+    earlier indices), so each e_i is final before it is distributed.  Nodes
+    that receive nothing are sources and get e_i = 1.  Total work is linear
+    in z.
     """
     z = fact.z
-    s = [0] * z
-    prefix = [0] * (z + 1)
-    for i, f in enumerate(fact.factors):
-        if isinstance(f, Copy):
-            s[i] = prefix[f.start + f.count - 1] - prefix[f.start - 1]
-        else:
-            s[i] = 1
-        prefix[i + 1] = prefix[i] + s[i]
+    bounds = fact.bounds
+    s = [bounds[i + 1] - bounds[i] for i in range(z)]
 
     e = [0] * z
     activate = [0] * (z + 1)   # contribution starts applying at index r
@@ -112,7 +107,8 @@ def heavy_paths(fact: Factorization, heavy_child: list[int]) -> HeavyPathDecompo
             locator[v - 1] = (len(paths), len(path))
             v = heavy_child[v - 1]
         paths.append(path)
-    assert sum(len(p) for p in paths) == z
+    if sum(len(p) for p in paths) != z:
+        raise RuntimeError("heavy edges form a cycle")
     return HeavyPathDecomposition(paths, locator, heavy_child)
 
 

@@ -50,15 +50,6 @@ class _Trie:
                 raise RuntimeError("more than two marks on a trie node")
             self.marks[v].append(mark)
 
-    def contains_marked(self, syms, lo: int, hi: int) -> bool:
-        children = self.children
-        v = 0
-        for t in range(lo, hi):
-            v = children[v].get(syms[t])
-            if v is None:
-                return False
-        return self.marks[v] is not None
-
 
 def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorization:
     """Greedy LZSE factorization via the extended-factor trie.
@@ -91,6 +82,7 @@ def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorizatio
         marks = trie.marks
         v = 0
         depth = 0
+        marked_depths = []
         while p + depth < n:
             v = children[v].get(syms[p + depth])
             if v is None:
@@ -99,6 +91,7 @@ def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorizatio
             node_marks = marks[v]
             if node_marks is None:
                 continue
+            marked_depths.append(depth)
             for fi, fpos in node_marks:
                 # lcp of suffixes p+1 and fpos, capped at the parsed prefix
                 ra = isa[p]
@@ -129,10 +122,12 @@ def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorizatio
             dlo = bounds[deferred - 1] - 1
             trie.insert(syms, dlo, bounds[k] - 1, (deferred, dlo + 1))
             deferred = 0
-        flo = bounds[k - 1] - 1
-        if trie.contains_marked(syms, flo, bounds[k] - 1):
+        # F_k is already in the trie iff the walk passed a marked node at
+        # depth |F_k|; the deferred insert above marks depth |F_{k-1}F_k|
+        if flen in marked_depths:
             deferred = k
         else:
+            flo = bounds[k - 1] - 1
             trie.insert(syms, flo, bounds[k] - 1, (k, flo + 1))
     return Factorization(factors, n, text.alphabet_size)
 

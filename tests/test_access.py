@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lzse.access import EXIT_FINAL, EXIT_LEFT, EXIT_RIGHT, build_access_index
+from lzse.access import build_access_index
 from lzse.factorization import Char, Copy, Factorization, access_naive, decode
 from lzse.generators import gen_lower_bound_family
 from lzse.grammar import grammar_to_lzse, repair_compress
@@ -14,6 +14,11 @@ from helpers import random_text, random_valid_factorization
 
 ABAB = Factorization([Char(97), Char(98), Copy(1, 2), Copy(3, 1)])
 FIG = Factorization([Char(97), Char(98), Copy(1, 2), Copy(2, 2), Copy(1, 3)])
+# heavy edge whose source extends past the heavy child on the right / left
+RIGHT_EXIT = Factorization([Char(c) for c in b"abcde"]
+                           + [Copy(1, 5), Copy(1, 2), Copy(6, 2)])
+LEFT_EXIT = Factorization([Char(c) for c in b"abcde"]
+                          + [Copy(1, 2), Copy(1, 5), Copy(6, 2)])
 
 
 def check_everywhere(fact: Factorization, max_probe: int | None = None):
@@ -42,8 +47,21 @@ def test_abab_skip_structure():
     assert skip.path == [4, 3]
     assert skip.L == [0, 0] and skip.R == [2, 2]
     assert skip.ibst.boundaries == [0, 2]  # both side intervals were empty
-    res = skip.exit_query(1, 1)
-    assert res.position == 2 and res.offset == 1 and res.kind == EXIT_FINAL
+    # the one interval exits into F3 at offset q - base and jumps on through
+    # F3's own source hint
+    assert skip.exits == [(3, -1, ix.src_hints[3])]
+    assert skip.exits[0][2] is not None
+
+
+def test_char_exit_has_no_hint():
+    # a | =F1 : the path [2, 1] ends at a char factor, so its exit carries
+    # no global hint and access stops there
+    fact = Factorization([Char(97), Copy(1, 1)])
+    ix = build_access_index(fact)
+    skip = ix.path_skips[ix.locator[1][0]]
+    assert skip.path == [2, 1]
+    assert skip.exits == [(1, -1, None)]
+    assert [ix.access_counted(p) for p in (1, 2)] == [(97, 0, 2), (97, 1, 2)]
 
 
 def test_abab_access_path():
@@ -85,29 +103,116 @@ def test_single_node_path_exit_is_final():
 
 
 def test_right_exit_interval():
-    # heavy edge whose source extends past the heavy child on the right
-    fact = Factorization([Char(c) for c in b"abcde"]
-                         + [Copy(1, 5), Copy(1, 2), Copy(6, 2)])
-    ix = build_access_index(fact)
+    ix = build_access_index(RIGHT_EXIT)
     pid, pos = ix.locator[7]  # factor 8
     skip = ix.path_skips[pid]
     assert skip.path == [8, 6]
-    res = skip.exit_query(1, 6)
-    assert res.kind == EXIT_RIGHT and res.position == 1 and res.offset == 6
-    check_everywhere(fact)
+    assert skip.ibst.boundaries == [0, 5, 7]
+    # q = 5 (s = 1, r = 6) lands right of F6 in F8's source: exit at F8,
+    # offset 6, jumping into the range of F7 alone
+    idx = skip.ibst.search(5)
+    assert skip.exits[idx][:2] == (8, -1)
+    hint = skip.exits[idx][2]
+    assert (hint.i, hint.j) == (6, 7)
+    assert skip.exits[0] == (6, -1, ix.src_hints[6])
+    check_everywhere(RIGHT_EXIT)
 
 
 def test_left_exit_interval():
-    # mirrored: source extends past the heavy child on the left
-    fact = Factorization([Char(c) for c in b"abcde"]
-                         + [Copy(1, 2), Copy(1, 5), Copy(6, 2)])
-    ix = build_access_index(fact)
+    ix = build_access_index(LEFT_EXIT)
     pid, pos = ix.locator[7]
     skip = ix.path_skips[pid]
     assert skip.path == [8, 7]
-    res = skip.exit_query(1, 1)
-    assert res.kind == EXIT_LEFT and res.position == 1 and res.offset == 1
-    check_everywhere(fact)
+    assert skip.ibst.boundaries == [0, 2, 7]
+    # q = 0 (s = 1, r = 1) lands left of F7 in F8's source: exit at F8,
+    # offset 1, jumping into the range of F6 alone
+    idx = skip.ibst.search(0)
+    assert skip.exits[idx][:2] == (8, -1)
+    hint = skip.exits[idx][2]
+    assert (hint.i, hint.j) == (5, 6)
+    assert skip.exits[1] == (7, 1, ix.src_hints[7])
+    check_everywhere(LEFT_EXIT)
+
+
+# (symbol, loop iterations, IBST node visits) at every position: a change to
+# the index layout must keep what each query costs, not only its answer
+PINNED_COUNTS = {
+    "ABAB": (ABAB, [(97, 0, 3), (98, 0, 2), (97, 1, 4), (98, 1, 3), (97, 1, 5),
+                    (98, 1, 4)]),
+    "FIG": (FIG, [(97, 0, 4), (98, 0, 3), (97, 1, 4), (98, 1, 3), (98, 1, 3),
+                  (97, 2, 4), (98, 2, 3), (97, 1, 5), (98, 1, 4), (97, 2, 5),
+                  (98, 2, 4)]),
+    "LEFT_EXIT": (LEFT_EXIT, [(97, 0, 4), (98, 0, 3), (99, 0, 4), (100, 0, 2),
+                              (101, 0, 4), (97, 1, 5), (98, 1, 4), (97, 1, 5),
+                              (98, 1, 4), (99, 1, 5), (100, 1, 3), (101, 1, 4),
+                              (97, 2, 7), (98, 2, 6), (97, 1, 6), (98, 1, 5),
+                              (99, 1, 6), (100, 1, 4), (101, 1, 5)]),
+    "RIGHT_EXIT": (RIGHT_EXIT, [(97, 0, 4), (98, 0, 3), (99, 0, 2), (100, 0, 4),
+                                (101, 0, 3), (97, 1, 5), (98, 1, 4), (99, 1, 3),
+                                (100, 1, 5), (101, 1, 4), (97, 1, 5), (98, 1, 4),
+                                (97, 1, 6), (98, 1, 5), (99, 1, 4), (100, 1, 6),
+                                (101, 1, 5), (97, 2, 7), (98, 2, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_access_counted_pinned(name):
+    fact, expected = PINNED_COUNTS[name]
+    ix = build_access_index(fact)
+    assert [ix.access_counted(p) for p in range(1, fact.n + 1)] == expected
+
+
+def _skips(rng):
+    for _ in range(150):
+        fact = random_valid_factorization(rng, max_z=50)
+        ix = build_access_index(fact)
+        for skip in ix.path_skips:
+            if skip is not None:
+                yield fact, ix, skip
+
+
+def test_skip_right_ends():
+    # the R recurrence runs from the path's last node back up; it must agree
+    # with R_j = L_j + |F_{i_j}| at every node
+    count = 0
+    for fact, _, skip in _skips(random.Random(51)):
+        assert skip.R == [lj + fact.length(f) for lj, f in zip(skip.L, skip.path)]
+        count += 1
+    assert count > 100
+
+
+def test_exit_table_matches_jump_chain():
+    # follow the in-path jump chain one factor at a time and compare where it
+    # leaves the path with the exit table entry found by one skip search
+    for fact, ix, skip in _skips(random.Random(52)):
+        path = skip.path
+        for s, start in enumerate(path, start=1):
+            for r in range(1, fact.length(start) + 1):
+                j, off = s - 1, r
+                while j < len(path) - 1:
+                    child = path[j + 1]
+                    pos = fact.src_l(path[j]) + off - 1
+                    if not fact.pos_l(child) <= pos <= fact.pos_r(child):
+                        break
+                    j, off = j + 1, pos - fact.pos_l(child) + 1
+                q = skip.L[s - 1] + r - 1
+                f, base, hint = skip.exits[skip.ibst.search(q)]
+                assert (f, q - base) == (path[j], off)
+                if not fact.is_copy(f):
+                    assert hint is None
+                    continue
+                src = fact.factor(f)
+                lo, hi = src.start, src.start + src.count - 1
+                if j < len(path) - 1:  # left or right of the next path node
+                    child = path[j + 1]
+                    if fact.src_l(f) + off - 1 < fact.pos_l(child):
+                        hi = child - 1
+                    else:
+                        lo = child + 1
+                else:
+                    assert hint is ix.src_hints[f]
+                assert (hint.i, hint.j) == (lo - 1, hi)
+                assert fact.bounds[hint.i] <= fact.src_l(f) + off - 1 < fact.bounds[hint.j]
 
 
 def test_access_rejects_out_of_range():

@@ -97,6 +97,12 @@ def test_two_incoming_heavy_edges_rejected():
         heavy_paths(f, [0, 1, 1])  # deliberately corrupt heavy-child array
 
 
+def test_cyclic_heavy_child_rejected():
+    f = Factorization([Char(0), Copy(1, 1)])
+    with pytest.raises(RuntimeError, match="cycle"):
+        heavy_paths(f, [2, 1])  # F1 -> F2 -> F1: no path start, nothing covered
+
+
 def test_random_counts_match_enumeration():
     rng = random.Random(4)
     for _ in range(250):
