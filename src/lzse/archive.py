@@ -105,6 +105,9 @@ def deserialize(data: bytes) -> Factorization:
                 pos += 1
             else:
                 sym, pos = read_varint(data, pos)
+                if sym >= TOKEN_ALPHABET:
+                    raise ArchiveError(f"factor {i}: symbol {sym} exceeds 32 bits",
+                                       record_at)
             factors.append(Char(sym))
         else:
             d, pos = read_varint(data, pos)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .factorization import Char, Factorization
 from .grammar import Cfg, grammar_to_lzse, repair_compress
-from .suffixindex import SuffixIndex, build_suffix_index
+from .suffixindex import SuffixIndex, build_suffix_index, lcp_suffixes
 from .text import Text
 
 
@@ -68,12 +68,12 @@ class _Lpf:
         best_src, best_len = 0, 0
         j = self.psv[r]
         if j >= 0:
-            length = idx.rmq.min(j + 1, r)
+            length = lcp_suffixes(idx, idx.sa[j], i)
             if length > 0:
                 best_src, best_len = idx.sa[j], length
         j = self.nsv[r]
         if j >= 0:
-            length = idx.rmq.min(r + 1, j)
+            length = lcp_suffixes(idx, idx.sa[j], i)
             if length > best_len or (length == best_len and 0 < idx.sa[j] < best_src):
                 if length > 0:
                     best_src, best_len = idx.sa[j], length
@@ -156,9 +156,6 @@ class FieldStreams(NamedTuple):
     method: str
     streams: dict[str, list]
 
-    def counts(self) -> dict[str, int]:
-        return {name: len(vals) for name, vals in self.streams.items()}
-
 
 def extract_field_streams(method: str, artifact) -> FieldStreams:
     """Split a method's output into its per-field symbol streams.
@@ -235,7 +232,7 @@ def _method_artifact(method: str, text: Text, idx: SuffixIndex,
     raise ValueError(f"unknown method {method!r}")
 
 
-def size_report(methods, text: Text, idx: SuffixIndex | None = None) -> dict:
+def size_report(methods, text: Text) -> dict:
     """Per-method factor counts, per-stream entropies and total bit costs.
 
     total_bits sums H0(stream) * |stream| over every reported stream; char
@@ -247,8 +244,8 @@ def size_report(methods, text: Text, idx: SuffixIndex | None = None) -> dict:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    if idx is None and any(m in ("lz77", "lzss", "lzse") for m in methods):
-        idx = build_suffix_index(text)
+    idx = (build_suffix_index(text)
+           if any(m in ("lz77", "lzss", "lzse") for m in methods) else None)
     repair_grammar = None
     if any(m in ("repair", "repair-se") for m in methods):
         repair_grammar = repair_compress(text)

@@ -10,8 +10,9 @@ source-to-sink path crosses at most 2*lg(nD) light edges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .factorization import Copy, Factorization
-from .suffixindex import RangeArgMin
 
 
 def compute_path_counts(fact: Factorization) -> tuple[list[int], list[int], int]:
@@ -49,21 +50,19 @@ def compute_path_counts(fact: Factorization) -> tuple[list[int], list[int], int]
 def select_heavy_edges(fact: Factorization, s: list[int], e: list[int]) -> list[int]:
     """heavy_child[i-1] = child index of factor i's heavy edge, or 0 for none.
 
-    The candidate child of a copy factor over [l, r] is the range argmax of
-    s (smallest index on ties); the edge is heavy iff both floor-log pairs
-    agree: lg(s) bracket and lg(e) bracket.
+    s and e are the path counts of :func:`compute_path_counts`.  The edge
+    from a copy factor i to a child j is heavy iff both floor-log pairs
+    agree: lg(s) bracket and lg(e) bracket.  A child in i's s bracket has
+    s_j >= 2**(lg s_i) > s_i / 2, so it spans more than half of i's source:
+    it is the child under the source's middle symbol src_l + s_i // 2, and
+    the unique maximum of s over the source.  Only that child is tested.
     """
-    z = fact.z
-    heavy = [0] * z
-    if z == 0:
-        return heavy
-    rmq = RangeArgMin([-x for x in s])  # argmax with leftmost tie-break
+    bounds = fact.bounds
+    heavy = [0] * fact.z
     for i, f in enumerate(fact.factors):
         if not isinstance(f, Copy):
             continue
-        l = f.start
-        r = f.start + f.count - 1
-        j = rmq.argmin(l - 1, r - 1) + 1
+        j = bisect_right(bounds, bounds[f.start - 1] + s[i] // 2)
         if (s[i].bit_length() == s[j - 1].bit_length()
                 and e[i].bit_length() == e[j - 1].bit_length()):
             heavy[i] = j

@@ -13,42 +13,8 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .factorization import Char, Copy, Factorization
-from .suffixindex import SuffixIndex, build_suffix_index
+from .suffixindex import SuffixIndex, build_suffix_index, lcp_suffixes
 from .text import Text
-
-
-class _Trie:
-    """Symbol-keyed trie over extended factors.
-
-    Each node carries at most two marks (factor index, factor start
-    position); more would contradict the at-most-twice property of
-    extended factors, so a third mark raises.
-    """
-
-    __slots__ = ("children", "marks")
-
-    def __init__(self):
-        self.children: list[dict[int, int]] = [{}]
-        self.marks: list[list[tuple[int, int]] | None] = [None]
-
-    def insert(self, syms, lo: int, hi: int, mark: tuple[int, int]) -> None:
-        children = self.children
-        v = 0
-        for t in range(lo, hi):
-            c = syms[t]
-            nxt = children[v].get(c)
-            if nxt is None:
-                nxt = len(children)
-                children[v][c] = nxt
-                children.append({})
-                self.marks.append(None)
-            v = nxt
-        if self.marks[v] is None:
-            self.marks[v] = [mark]
-        else:
-            if len(self.marks[v]) >= 2:
-                raise RuntimeError("more than two marks on a trie node")
-            self.marks[v].append(mark)
 
 
 def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorization:
@@ -65,21 +31,38 @@ def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorizatio
     if idx is None:
         idx = build_suffix_index(text)
     syms = text.symbols
-    isa = idx.isa
-    rmq_argmin = idx.rmq.argmin
-    lcp_arr = idx.lcp
+    # Symbol-keyed trie over extended factors.  Each node carries at most
+    # two marks (factor index, factor start position); more would
+    # contradict the at-most-twice property of extended factors.
+    children: list[dict[int, int]] = [{}]
+    marks: list[list[tuple[int, int]] | None] = [None]
+
+    def insert(lo: int, hi: int, mark: tuple[int, int]) -> None:
+        v = 0
+        for t in range(lo, hi):
+            c = syms[t]
+            nxt = children[v].get(c)
+            if nxt is None:
+                nxt = len(children)
+                children[v][c] = nxt
+                children.append({})
+                marks.append(None)
+            v = nxt
+        if marks[v] is None:
+            marks[v] = [mark]
+        elif len(marks[v]) >= 2:
+            raise RuntimeError("more than two marks on a trie node")
+        else:
+            marks[v].append(mark)
 
     factors: list[Char | Copy] = []
     bounds = [1]  # bounds[t] = pos_l of factor t+1
-    trie = _Trie()
     deferred = 0  # factor awaiting its doubled extended factor, 0 = none
     p = 0  # symbols parsed so far
     while p < n:
         best_len = 0
         best_pos = n + 2
         best_start = best_end = 0
-        children = trie.children
-        marks = trie.marks
         v = 0
         depth = 0
         marked_depths = []
@@ -93,15 +76,8 @@ def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorizatio
                 continue
             marked_depths.append(depth)
             for fi, fpos in node_marks:
-                # lcp of suffixes p+1 and fpos, capped at the parsed prefix
-                ra = isa[p]
-                rb = isa[fpos - 1]
-                if ra > rb:
-                    ra, rb = rb, ra
-                d = lcp_arr[rmq_argmin(ra + 1, rb)]
-                cap = p - fpos + 1
-                if d > cap:
-                    d = cap
+                # capped at the parsed prefix: no overlap with the new factor
+                d = min(lcp_suffixes(idx, p + 1, fpos), p - fpos + 1)
                 j = bisect_right(bounds, fpos + d) - 1
                 cand = bounds[j] - fpos
                 if cand > best_len or (cand == best_len and fpos < best_pos):
@@ -120,7 +96,7 @@ def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorizatio
         p += flen
         if deferred:
             dlo = bounds[deferred - 1] - 1
-            trie.insert(syms, dlo, bounds[k] - 1, (deferred, dlo + 1))
+            insert(dlo, bounds[k] - 1, (deferred, dlo + 1))
             deferred = 0
         # F_k is already in the trie iff the walk passed a marked node at
         # depth |F_k|; the deferred insert above marks depth |F_{k-1}F_k|
@@ -128,7 +104,7 @@ def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorizatio
             deferred = k
         else:
             flo = bounds[k - 1] - 1
-            trie.insert(syms, flo, bounds[k] - 1, (k, flo + 1))
+            insert(flo, bounds[k] - 1, (k, flo + 1))
     return Factorization(factors, n, text.alphabet_size)
 
 

@@ -1,7 +1,8 @@
 """Suffix array, LCP array and range-minimum machinery.
 
 Positions handed to :func:`lcp_suffixes` (and stored in ``sa``) are 1-based,
-matching the factorization position model; ranks are 0-based.
+matching the factorization position model; ranks are 0-based.  The parsers
+ask for LCPs through :func:`lcp_suffixes` only; the range minima stay here.
 """
 
 from __future__ import annotations

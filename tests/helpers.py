@@ -2,8 +2,8 @@
 
 Everything here is deliberately independent of the library's fast paths:
 suffix sorting by direct string comparison, LCP by character scan, path
-counting by exhaustive enumeration, and random-but-valid factorizations
-built factor by factor.
+counting by exhaustive enumeration, heavy edges by scanning each copy's
+source, and random-but-valid factorizations built factor by factor.
 """
 
 from __future__ import annotations
@@ -125,6 +125,22 @@ def brute_path_counts(fact: Factorization) -> tuple[list[int], list[int], int]:
             walk(v)
             n_d += s[v - 1]
     return s, e[1:], n_d
+
+
+def heavy_edges_by_range_argmax(fact: Factorization, s: list[int],
+                                e: list[int]) -> list[int]:
+    """Reference heavy-child array: a copy factor's candidate child is the
+    leftmost maximum of s over its source factors, found by a scan; the
+    edge is heavy iff both the lg(s) and the lg(e) brackets agree."""
+    heavy = [0] * fact.z
+    for i, f in enumerate(fact.factors):
+        if isinstance(f, Copy):
+            # max returns the first of equal maxima: the leftmost argmax
+            j = max(range(f.start, f.start + f.count), key=lambda c: s[c - 1])
+            if (s[i].bit_length() == s[j - 1].bit_length()
+                    and e[i].bit_length() == e[j - 1].bit_length()):
+                heavy[i] = j
+    return heavy
 
 
 def random_valid_factorization(rng: random.Random, max_z: int = 60,

@@ -68,6 +68,15 @@ def test_token_mode():
     assert decode(restored).symbols == decode(fact).symbols
 
 
+def test_token_symbol_above_32_bits_rejected():
+    # n=2, z=2: char 2**35 as a 6-byte varint, then a copy of factor 1
+    blob = bytes.fromhex("4c5a534501010202008080808080010101")
+    with pytest.raises(ArchiveError, match="exceeds 32 bits"):
+        deserialize(blob)
+    top = Factorization([Char((1 << 32) - 1), Copy(1, 1)], alphabet_size=1 << 32)
+    assert deserialize(serialize(top)).factors == top.factors
+
+
 def test_random_roundtrips():
     rng = random.Random(10)
     for _ in range(120):

@@ -4,6 +4,7 @@ import pytest
 
 from lzse import archive, cli
 from lzse.cli import main
+from lzse.factorization import Char, Copy, Factorization
 from lzse.text import Text
 
 
@@ -102,6 +103,31 @@ def test_usage_and_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.lzse"
     bad.write_bytes(b"GARBAGE")
     assert main(["decompress", str(bad)]) == 2
+
+
+def test_token_symbol_above_32_bits_exits_2(tmp_path, capsys):
+    arc = tmp_path / "wide.lzse"
+    arc.write_bytes(bytes.fromhex("4c5a534501010202008080808080010101"))
+    for args in (["access", str(arc), "-p", "2"], ["verify", str(arc)],
+                 ["decompress", str(arc), "-o", str(tmp_path / "out")]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: factor 1: symbol 34359738368 exceeds 32 bits")
+        assert "Traceback" not in err
+
+
+def test_huge_n_archive_access_and_extract(tmp_path, capsys):
+    # 70 factors doubling up to n = 2**69; decompressing it would not fit
+    # in memory, so only the index commands run on it
+    fact = Factorization([Char(97), Copy(1, 1)] + [Copy(1, k) for k in range(2, 70)])
+    assert fact.n == 1 << 69
+    arc = tmp_path / "huge.lzse"
+    arc.write_bytes(archive.serialize(fact))
+    p = 3 * 10 ** 20
+    assert main(["access", str(arc), "-p", str(p)]) == 0
+    assert capsys.readouterr().out == "a\n"
+    assert main(["extract", str(arc), "-l", str(p), "-r", str(p + 5)]) == 0
+    assert capsys.readouterr().out == "aaaaaa\n"
 
 
 def test_internal_error_exits_2(sample, tmp_path, capsys, monkeypatch):

@@ -6,11 +6,30 @@ import pytest
 from lzse.dag import (compute_path_counts, heavy_paths, max_light_edges_on_path,
                       select_heavy_edges)
 from lzse.factorization import Char, Copy, Factorization
+from lzse.greedy import greedy_factorize
+from lzse.text import Text
 
-from helpers import brute_path_counts, random_valid_factorization
+from helpers import (brute_path_counts, heavy_edges_by_range_argmax, random_text,
+                     random_valid_factorization)
 
 FIG = Factorization([Char(97), Char(98), Copy(1, 2), Copy(2, 2), Copy(1, 3)])
 ABAB = Factorization([Char(97), Char(98), Copy(1, 2), Copy(3, 1)])
+# a | b | ab | abab, then one copy whose heavy child F4 (length 4) just
+# reaches the middle symbol of its source
+HEAVY_HEAD = [Char(97), Char(98), Copy(1, 2), Copy(1, 3)]
+MIDPOINT_CASES = {
+    # source "a", a single factor
+    "single-factor": ([Char(97), Copy(1, 1)], [0, 1]),
+    # source abab|ab, length 6: F4 ends at offset 3 = 6 // 2
+    "even-left": (HEAVY_HEAD + [Copy(1, 2), Copy(4, 2)], [0, 0, 0, 0, 0, 4]),
+    # source b|ab|abab, length 7: F4 starts at offset 3 = 7 // 2
+    "odd-right": (HEAVY_HEAD + [Copy(2, 3)], [0, 0, 0, 0, 4]),
+    # source abab|bab, length 7: F4 ends at offset 3
+    "odd-left": (HEAVY_HEAD + [Copy(2, 2), Copy(4, 2)], [0, 0, 0, 0, 0, 4]),
+    # F5's source ab|abab puts F4 under its midpoint, but F6 also copies
+    # F4, so e_4 = 2 is outside the e bracket of F5 and F6: both light
+    "e-bracket-fails": (HEAVY_HEAD + [Copy(3, 2), Copy(4, 1)], [0] * 6),
+}
 
 
 def test_path_counts_figure():
@@ -120,3 +139,38 @@ def test_random_counts_match_enumeration():
                 seen[v] = True
         assert all(seen[1:])
         assert max_light_edges_on_path(fact, dec) <= 2 * math.log2(nd) + 1e-9
+
+
+def _assert_heavy_matches_oracle(fact: Factorization) -> list[int]:
+    s, e, _ = compute_path_counts(fact)
+    heavy = select_heavy_edges(fact, s, e)
+    assert heavy == heavy_edges_by_range_argmax(fact, s, e)
+    return heavy
+
+
+@pytest.mark.parametrize("name", sorted(MIDPOINT_CASES))
+def test_heavy_child_under_source_midpoint(name):
+    factors, expect = MIDPOINT_CASES[name]
+    assert _assert_heavy_matches_oracle(Factorization(factors)) == expect
+
+
+def test_heavy_edges_match_range_argmax_random():
+    rng = random.Random(6)
+    heavy_total = 0
+    for t in range(400):
+        if t % 4 == 3:  # greedy parses have copies over long factor runs
+            fact = greedy_factorize(random_text(rng, rng.randint(1, 400),
+                                                rng.choice([2, 3, 26])))
+        else:
+            fact = random_valid_factorization(rng, max_z=80,
+                                              copy_bias=rng.choice([0.55, 0.8]))
+        heavy_total += sum(1 for j in _assert_heavy_matches_oracle(fact) if j)
+    assert heavy_total > 400  # the brackets pass often enough to test
+
+
+def test_heavy_edges_match_range_argmax_block_repetitive():
+    rng = random.Random(2024)
+    pool = [bytes(rng.randrange(256) for _ in range(256)) for _ in range(16)]
+    text = Text.from_bytes(b"".join(pool[rng.randrange(16)] for _ in range(256)))
+    heavy = _assert_heavy_matches_oracle(greedy_factorize(text))
+    assert any(heavy)
