@@ -50,6 +50,9 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     with open(args.input, "rb") as fh:
         fact = archive.deserialize(fh.read())
+    if fact.n > args.max_size:
+        raise ValueError(f"archive decodes to {fact.n} symbols, "
+                         f"above --max-size {args.max_size}")
     out = args.output or (args.input[:-5] if args.input.endswith(".lzse")
                           else args.input + ".out")
     _write_text(out, decode(fact))
@@ -153,6 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompress", help="restore the original file")
     d.add_argument("input")
     d.add_argument("-o", "--output")
+    d.add_argument("--max-size", type=int, default=1 << 30,
+                   help="refuse archives that decode to more symbols (default 2^30)")
     d.set_defaults(func=_cmd_decompress)
 
     a = sub.add_parser("access", help="print the symbol at a position")

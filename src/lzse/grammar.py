@@ -10,9 +10,8 @@ alphabet).
 from __future__ import annotations
 
 from collections.abc import Callable
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
-
-import numpy as np
 
 from .factorization import Char, Copy, Factorization
 from .text import Text
@@ -207,69 +206,202 @@ def grammar_to_lzse(g: Cfg, alphabet_size: int | None = None) -> Factorization:
 def repair_compress(text: Text) -> Cfg:
     """Re-Pair: repeatedly replace the most frequent adjacent pair.
 
-    Pair counts are greedy non-overlapping left-to-right counts; ties go
-    to the pair whose first occurrence is leftmost.  Replacement stops
-    when no pair occurs twice; the remaining sequence becomes the start
-    rule.  Rounds are vectorized full rescans, adequate at desk scale.
+    Pair counts are greedy non-overlapping left-to-right counts, so a run of
+    L equal symbols counts L//2 for their pair; ties go to the pair whose
+    first (overlapping) occurrence is leftmost, and runs are replaced
+    greedily from the left.  Replacement stops when no pair occurs twice;
+    the remaining sequence becomes the start rule.
+
+    Counting is incremental, after Larsson and Moffat ("Off-line
+    dictionary-based compression", Proc. IEEE 2000).  The sequence is a
+    doubly linked list over the original positions; each pair keeps a
+    doubly linked list of its occurrences in position order and its count,
+    and a replacement updates only the pairs next to the occurrence it
+    replaces.  A heap keyed by (-count, first occurrence) picks each rule,
+    re-keying stale entries when they surface.  O(n log n) overall.
     """
     n = len(text)
     if n == 0:
         raise GrammarError("cannot build a grammar for the empty text")
-    if n >= 1 << 30:
-        raise GrammarError("text too long for 32-bit pair packing")
     # Work on dense labels: terminals 0..k-1 in symbol order, then one label
-    # per rule from k.  Labels stay below 2n < 2^31, so a pair packs into one
-    # int64 key; the relabelling is monotone, so every choice is unchanged.
-    terminals, inverse = np.unique(np.asarray(text.symbols, dtype=np.int64),
-                                   return_inverse=True)
+    # per rule from k.  The relabelling is monotone, so every choice is
+    # unchanged.  A rule saves at least two symbols, so labels stay below
+    # k + n/2 and a * width + b names the pair (a, b) uniquely.
+    terminals = sorted(set(text.symbols))
     k = len(terminals)
-    seq = inverse.astype(np.int64, copy=False)
+    dense = {s: t for t, s in enumerate(terminals)}
+    sym = [dense[s] for s in text.symbols]
+    width = k + n
+    nxt = list(range(1, n + 1))
+    nxt[-1] = -1
+    prv = list(range(-1, n - 1))
+    # The occurrence at i is the pair (sym[i], sym[nxt[i]]).  Old pairs only
+    # lose occurrences and new pairs gain them left to right, so every list
+    # stays in position order and its head is the first occurrence.
+    onx = [-1] * n
+    opv = [-1] * n
+    head: dict[int, int] = {}
+    tail: dict[int, int] = {}
+    count: dict[int, int] = {}
+    # A run of L >= 2 equal symbols keeps L and the position of its other
+    # end at both ends, so the run's count L//2 follows a change at either
+    # end in O(1).
+    run_len = [0] * n
+    run_end = [0] * n
+
+    def close_run(s: int, e: int) -> None:
+        run_len[s] = run_len[e] = e - s + 1
+        run_end[s] = e
+        run_end[e] = s
+        count[sym[s] * width + sym[s]] += (e - s + 1) // 2
+
+    def shrink_run(lost: int, kept: int, key: int) -> None:
+        # the run end `lost` leaves the run; its neighbour `kept` is the new end
+        other = run_end[lost]
+        length = run_len[lost]
+        if length % 2 == 0:
+            count[key] -= 1
+        if length > 2:
+            run_len[other] = run_len[kept] = length - 1
+            run_end[other] = kept
+            run_end[kept] = other
+
+    run_start = 0
+    for i in range(n - 1):
+        a = sym[i]
+        b = sym[i + 1]
+        key = a * width + b
+        t = tail.get(key)
+        if t is None:
+            head[key] = i
+            count[key] = 0
+        else:
+            onx[t] = i
+            opv[i] = t
+        tail[key] = i
+        if a != b:
+            count[key] += 1
+            if i > run_start:
+                close_run(run_start, i)
+            run_start = i + 1
+    if run_start < n - 1:
+        close_run(run_start, n - 1)
+
+    def unlink(i: int, key: int) -> None:
+        p = opv[i]
+        q = onx[i]
+        if p < 0 and q < 0:
+            del head[key], tail[key], count[key]
+            return
+        if p >= 0:
+            onx[p] = q
+        else:
+            head[key] = q
+        if q >= 0:
+            opv[q] = p
+        else:
+            tail[key] = p
+
+    def append(i: int, key: int) -> None:
+        t = tail.get(key)
+        if t is None:
+            head[key] = i
+            count[key] = 0
+            fresh.append(key)
+            opv[i] = -1
+        else:
+            onx[t] = i
+            opv[i] = t
+        onx[i] = -1
+        tail[key] = i
+
+    # An old pair's count only falls and its head only moves right, so its
+    # heap entry never sorts after its true key; new pairs are pushed once,
+    # when their round ends.
+    heap = [(-freq, head[key], key) for key, freq in count.items() if freq >= 2]
+    heapify(heap)
     label_rules: list[tuple[int, int]] = []
-    while len(seq) >= 2:
-        left = seq[:-1]
-        right = seq[1:]
-        keys = (left << 32) | right
-        uniq, first_pos, counts = np.unique(keys, return_index=True, return_counts=True)
-        # greedy non-overlap correction for runs of one symbol: a run of
-        # length L holds L-1 overlapping pairs but only L//2 countable ones
-        boundaries = np.flatnonzero(np.diff(seq) != 0)
-        run_starts = np.concatenate(([0], boundaries + 1))
-        run_lengths = np.diff(np.concatenate((run_starts, [len(seq)])))
-        long_runs = run_lengths >= 2
-        if long_runs.any():
-            run_syms = seq[run_starts[long_runs]]
-            run_keys = (run_syms << 32) | run_syms
-            deltas = run_lengths[long_runs] // 2 - (run_lengths[long_runs] - 1)
-            idx = np.searchsorted(uniq, run_keys)
-            np.add.at(counts, idx, deltas)
-        best = counts.max() if len(counts) else 0
-        if best < 2:
-            break
-        cand = counts == best
-        order = np.argsort(first_pos[cand], kind="stable")
-        key = int(uniq[np.flatnonzero(cand)[order[0]]])
-        a, b = key >> 32, key & 0xFFFFFFFF
-        match = np.flatnonzero((left == a) & (right == b))
-        if a == b:
-            # keep every other match inside each consecutive run of matches
-            group = np.concatenate(([0], np.cumsum(np.diff(match) != 1)))
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1))
-            offset = np.arange(len(match)) - starts[group]
-            match = match[offset % 2 == 0]
-        out = seq.copy()
-        out[match] = k + len(label_rules)
+    while heap:
+        neg, first, key = heappop(heap)
+        freq = count.get(key, 0)
+        if freq < 2:
+            continue
+        if freq != -neg or head[key] != first:
+            heappush(heap, (-freq, head[key], key))
+            continue
+        a, b = divmod(key, width)
+        x = k + len(label_rules)
         label_rules.append((a, b))
-        keep = np.ones(len(seq), dtype=bool)
-        keep[match + 1] = False
-        seq = out[keep]
+        xx = x * width + x
+        fresh: list[int] = []
+        i = first
+        while i >= 0:
+            j = nxt[i]
+            h = prv[i]
+            r = nxt[j]
+            following = onx[i]
+            if following == j:  # a == b: skip the occurrence overlapping i's
+                following = onx[j]
+            if h >= 0:
+                c = sym[h]
+                left = c * width + a
+                if c != a:
+                    count[left] -= 1
+                else:  # i ends a run of a (a != b): it loses its last symbol
+                    shrink_run(i, h, left)
+                unlink(h, left)
+            if r >= 0:
+                d = sym[r]
+                right = b * width + d
+                if d != b:
+                    count[right] -= 1
+                    unlink(j, right)
+                elif a != b:  # j starts a run of b: it loses its first symbol
+                    shrink_run(j, r, right)
+                    unlink(j, right)
+            sym[i] = x
+            nxt[i] = r
+            if r >= 0:
+                prv[r] = i
+            if h >= 0:
+                if c == x:  # extend the run of x that ends at h
+                    g = prv[h]
+                    if g >= 0 and sym[g] == x:
+                        s = run_end[h]
+                        length = run_len[h]
+                    else:
+                        s = h
+                        length = 1
+                    run_len[s] = run_len[i] = length + 1
+                    run_end[s] = i
+                    run_end[i] = s
+                    append(h, xx)
+                    count[xx] += length % 2
+                else:
+                    append(h, c * width + x)
+                    count[c * width + x] += 1
+            if r >= 0:
+                append(i, x * width + sym[r])
+                count[x * width + sym[r]] += 1
+            i = following
+        del head[key], tail[key], count[key]
+        for key in fresh:
+            freq = count.get(key, 0)
+            if freq >= 2:
+                heappush(heap, (-freq, head[key], key))
     base = text.alphabet_size  # rule ids start above the alphabet
 
     def symbol(label: int) -> int:
-        return int(terminals[label]) if label < k else base + label - k
+        return terminals[label] if label < k else base + label - k
 
     rules = {base + t: (symbol(a), symbol(b)) for t, (a, b) in enumerate(label_rules)}
     start = base + len(label_rules)
-    rules[start] = tuple(symbol(v) for v in seq.tolist())
+    seq = []
+    i = 0
+    while i >= 0:
+        seq.append(symbol(sym[i]))
+        i = nxt[i]
+    rules[start] = tuple(seq)
     return Cfg(rules, start)
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's fast paths:
 suffix sorting by direct string comparison, LCP by character scan, path
 counting by exhaustive enumeration, heavy edges by scanning each copy's
-source, and random-but-valid factorizations built factor by factor.
+source, Re-Pair by full numpy rescans of the sequence in every round, and
+random-but-valid factorizations built factor by factor.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 import numpy as np
 
 from lzse.factorization import Char, Copy, Factorization
+from lzse.grammar import Cfg, GrammarError
 from lzse.text import Text
 
 
@@ -173,3 +175,72 @@ def all_binary_texts(max_len: int):
     for n in range(1, max_len + 1):
         for mask in range(1 << n):
             yield Text(bytes((mask >> k) & 1 for k in range(n)))
+
+
+def repair_compress_reference(text: Text) -> Cfg:
+    """Re-Pair: repeatedly replace the most frequent adjacent pair.
+
+    Pair counts are greedy non-overlapping left-to-right counts; ties go
+    to the pair whose first occurrence is leftmost.  Replacement stops
+    when no pair occurs twice; the remaining sequence becomes the start
+    rule.  Rounds are vectorized full rescans, adequate at desk scale.
+    """
+    n = len(text)
+    if n == 0:
+        raise GrammarError("cannot build a grammar for the empty text")
+    if n >= 1 << 30:
+        raise GrammarError("text too long for 32-bit pair packing")
+    # Work on dense labels: terminals 0..k-1 in symbol order, then one label
+    # per rule from k.  Labels stay below 2n < 2^31, so a pair packs into one
+    # int64 key; the relabelling is monotone, so every choice is unchanged.
+    terminals, inverse = np.unique(np.asarray(text.symbols, dtype=np.int64),
+                                   return_inverse=True)
+    k = len(terminals)
+    seq = inverse.astype(np.int64, copy=False)
+    label_rules: list[tuple[int, int]] = []
+    while len(seq) >= 2:
+        left = seq[:-1]
+        right = seq[1:]
+        keys = (left << 32) | right
+        uniq, first_pos, counts = np.unique(keys, return_index=True, return_counts=True)
+        # greedy non-overlap correction for runs of one symbol: a run of
+        # length L holds L-1 overlapping pairs but only L//2 countable ones
+        boundaries = np.flatnonzero(np.diff(seq) != 0)
+        run_starts = np.concatenate(([0], boundaries + 1))
+        run_lengths = np.diff(np.concatenate((run_starts, [len(seq)])))
+        long_runs = run_lengths >= 2
+        if long_runs.any():
+            run_syms = seq[run_starts[long_runs]]
+            run_keys = (run_syms << 32) | run_syms
+            deltas = run_lengths[long_runs] // 2 - (run_lengths[long_runs] - 1)
+            idx = np.searchsorted(uniq, run_keys)
+            np.add.at(counts, idx, deltas)
+        best = counts.max() if len(counts) else 0
+        if best < 2:
+            break
+        cand = counts == best
+        order = np.argsort(first_pos[cand], kind="stable")
+        key = int(uniq[np.flatnonzero(cand)[order[0]]])
+        a, b = key >> 32, key & 0xFFFFFFFF
+        match = np.flatnonzero((left == a) & (right == b))
+        if a == b:
+            # keep every other match inside each consecutive run of matches
+            group = np.concatenate(([0], np.cumsum(np.diff(match) != 1)))
+            starts = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1))
+            offset = np.arange(len(match)) - starts[group]
+            match = match[offset % 2 == 0]
+        out = seq.copy()
+        out[match] = k + len(label_rules)
+        label_rules.append((a, b))
+        keep = np.ones(len(seq), dtype=bool)
+        keep[match + 1] = False
+        seq = out[keep]
+    base = text.alphabet_size  # rule ids start above the alphabet
+
+    def symbol(label: int) -> int:
+        return int(terminals[label]) if label < k else base + label - k
+
+    rules = {base + t: (symbol(a), symbol(b)) for t, (a, b) in enumerate(label_rules)}
+    start = base + len(label_rules)
+    rules[start] = tuple(symbol(v) for v in seq.tolist())
+    return Cfg(rules, start)

@@ -130,6 +130,23 @@ def test_huge_n_archive_access_and_extract(tmp_path, capsys):
     assert capsys.readouterr().out == "aaaaaa\n"
 
 
+def test_decompress_refuses_above_max_size(sample, tmp_path, capsys):
+    fact = Factorization([Char(97), Copy(1, 1)] + [Copy(1, k) for k in range(2, 70)])
+    arc = tmp_path / "huge.lzse"
+    arc.write_bytes(archive.serialize(fact))
+    out = tmp_path / "huge.out"
+    assert main(["decompress", str(arc), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: archive decodes to {1 << 69} symbols, above --max-size {1 << 30}\n"
+    assert not out.exists()
+    small = tmp_path / "small.lzse"
+    assert main(["compress", str(sample), "-o", str(small)]) == 0
+    assert main(["decompress", str(small), "-o", str(out), "--max-size", "10"]) == 2
+    assert "above --max-size 10" in capsys.readouterr().err
+    assert main(["decompress", str(small), "-o", str(out), "--max-size", "11"]) == 0
+    assert out.read_bytes() == sample.read_bytes()
+
+
 def test_internal_error_exits_2(sample, tmp_path, capsys, monkeypatch):
     def broken_parser(text):
         raise RuntimeError("more than two marks on a trie node")

@@ -2,15 +2,17 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lzse.factorization import decode, validate
 from lzse.grammar import (Cfg, GrammarError, Slp, cfg_to_slp, expand,
                           format_grammar, grammar_to_lzse, orsp_solve_from_slp,
                           parse_grammar, repair_compress)
-from lzse.generators import gen_orsp
+from lzse.generators import gen_orsp, gen_periodic
 from lzse.text import Text
 
-from helpers import random_text
+from helpers import random_text, repair_compress_reference
+from test_acceptance import zipf_words_pattern
 
 A, B, S, X, Y = 300, 301, 302, 303, 304
 
@@ -144,6 +146,86 @@ def test_repair_token_text_with_high_symbols():
         alphabet = [rng.randrange(1 << 32) for _ in range(rng.choice([1, 2, 4]))] + hi
         t = Text.from_tokens(rng.choice(alphabet) for _ in range(rng.randint(1, 300)))
         assert expand(repair_compress(t)) == t
+
+
+def assert_repair_matches_reference(t: Text) -> None:
+    g = repair_compress(t)
+    ref = repair_compress_reference(t)
+    assert list(g.rules.items()) == list(ref.rules.items())
+    assert g.start == ref.start
+
+
+def test_repair_matches_reference_criterion_4_zipf():
+    # replay criterion 4's draws up to its 64 KiB zipf-words text
+    rng = random.Random(555)
+    for _ in range(25):
+        random_text(rng, rng.randint(1, 2000), rng.choice([2, 4, 26]))
+    for _ in range(10):
+        random_text(rng, rng.randint(4, 1500), rng.choice([2, 4]))
+    assert_repair_matches_reference(Text.from_bytes(zipf_words_pattern(rng, 1 << 16)))
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 26])
+def test_repair_matches_reference_random(sigma):
+    rng = random.Random(100 + sigma)
+    for _ in range(25):
+        assert_repair_matches_reference(random_text(rng, rng.randint(1, 1200), sigma))
+
+
+def test_repair_matches_reference_periodic():
+    rng = random.Random(31)
+    for pattern in ["ab", "aab", "abb", "aaaab", "abracadabra", "abcabcabd"]:
+        for reps in [1, 2, 3, 7, 64, 333]:
+            assert_repair_matches_reference(gen_periodic(pattern, reps))
+    for _ in range(20):
+        pattern = bytes(rng.randrange(97, 100) for _ in range(rng.randint(1, 9)))
+        assert_repair_matches_reference(gen_periodic(pattern, rng.randint(1, 300)))
+
+
+def test_repair_matches_reference_runs():
+    # a^1 b a^2 b ... a^k b: one run of every length
+    for k in [1, 2, 3, 5, 8, 40, 90]:
+        assert_repair_matches_reference(
+            Text.from_str("".join("a" * i + "b" for i in range(1, k + 1))))
+        assert_repair_matches_reference(
+            Text.from_str("".join("a" * i + "b" for i in range(k, 0, -1))))
+    # runs of b that lose symbols at their start in one round and at their
+    # end in another, then are read again: each text fails if one of the two
+    # ends is left pointing at a removed position
+    for s in ["abbbbbbdabbdcbddaabbbdababdab", "bdababdabbbdbbdaabbdabbbbdbbabbbbbdcbd"]:
+        assert_repair_matches_reference(Text.from_str(s))
+
+
+def test_repair_matches_reference_fibonacci_and_thue_morse():
+    fib = ["b", "a"]
+    while len(fib[-1]) < 20_000:
+        fib.append(fib[-1] + fib[-2])
+    for word in fib[2:]:
+        assert_repair_matches_reference(Text.from_str(word))
+    for bits in range(1, 15):
+        tm = [bin(i).count("1") % 2 for i in range(1 << bits)]
+        assert_repair_matches_reference(Text(tm))
+
+
+def test_repair_matches_reference_high_tokens():
+    hi = [(1 << 31) + 5, (1 << 32) - 1]
+    assert_repair_matches_reference(
+        Text.from_tokens([0, 1, 2, 3] * 8 + hi * 6 + [0, hi[0], 1] * 5))
+    rng = random.Random(41)
+    for _ in range(30):
+        alphabet = [rng.randrange(1 << 32) for _ in range(rng.choice([1, 2, 4]))] + hi
+        tokens = []
+        while len(tokens) < 400:
+            tokens += [rng.choice(alphabet)] * rng.choice([1, 1, 2, 3, 6])
+        assert_repair_matches_reference(Text.from_tokens(tokens))
+
+
+# run lengths decide the greedy non-overlapping counts, the tie-breaks
+# between a run pair and its neighbours, and where new runs form
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 14)), min_size=1, max_size=24))
+def test_repair_matches_reference_long_runs(runs):
+    assert_repair_matches_reference(Text(sym for sym, length in runs for _ in range(length)))
 
 
 def test_repair_rejects_empty():
