@@ -19,6 +19,10 @@ from .greedy import greedy_factorize
 from .text import Text
 from . import generators
 
+# Decoding holds about 16 bytes per symbol (the list plus the Text tuple), so
+# 2^26 symbols peak near 1 GiB: 64 times the largest benchmark corpus (1 MiB).
+MAX_DECOMPRESS_SYMBOLS = 1 << 26
+
 
 def _read_text(path: str) -> Text:
     with open(path, "rb") as fh:
@@ -50,9 +54,9 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     with open(args.input, "rb") as fh:
         fact = archive.deserialize(fh.read())
-    if fact.n > args.max_size:
+    if fact.n > MAX_DECOMPRESS_SYMBOLS:
         raise ValueError(f"archive decodes to {fact.n} symbols, "
-                         f"above --max-size {args.max_size}")
+                         f"above the limit of {MAX_DECOMPRESS_SYMBOLS}")
     out = args.output or (args.input[:-5] if args.input.endswith(".lzse")
                           else args.input + ".out")
     _write_text(out, decode(fact))
@@ -156,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompress", help="restore the original file")
     d.add_argument("input")
     d.add_argument("-o", "--output")
-    d.add_argument("--max-size", type=int, default=1 << 30,
-                   help="refuse archives that decode to more symbols (default 2^30)")
     d.set_defaults(func=_cmd_decompress)
 
     a = sub.add_parser("access", help="print the symbol at a position")
@@ -204,9 +206,10 @@ def main(argv=None) -> int:
         return 1 if ex.code else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as ex:
-        # RuntimeError: an internal invariant broke (e.g. a third trie mark)
-        print(f"error: {ex}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as ex:
+        # RuntimeError: an internal invariant broke (e.g. a third trie mark);
+        # MemoryError: the input needs more memory than the machine has
+        print(f"error: {str(ex) or type(ex).__name__}", file=sys.stderr)
         return 2
 
 

@@ -130,21 +130,34 @@ def test_huge_n_archive_access_and_extract(tmp_path, capsys):
     assert capsys.readouterr().out == "aaaaaa\n"
 
 
-def test_decompress_refuses_above_max_size(sample, tmp_path, capsys):
+def test_decompress_refuses_above_symbol_limit(sample, tmp_path, capsys, monkeypatch):
     fact = Factorization([Char(97), Copy(1, 1)] + [Copy(1, k) for k in range(2, 70)])
     arc = tmp_path / "huge.lzse"
     arc.write_bytes(archive.serialize(fact))
     out = tmp_path / "huge.out"
     assert main(["decompress", str(arc), "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: archive decodes to {1 << 69} symbols, above --max-size {1 << 30}\n"
+    assert err == f"error: archive decodes to {1 << 69} symbols, above the limit of {1 << 26}\n"
     assert not out.exists()
     small = tmp_path / "small.lzse"
     assert main(["compress", str(sample), "-o", str(small)]) == 0
-    assert main(["decompress", str(small), "-o", str(out), "--max-size", "10"]) == 2
-    assert "above --max-size 10" in capsys.readouterr().err
-    assert main(["decompress", str(small), "-o", str(out), "--max-size", "11"]) == 0
+    monkeypatch.setattr(cli, "MAX_DECOMPRESS_SYMBOLS", 10)
+    assert main(["decompress", str(small), "-o", str(out)]) == 2
+    assert "above the limit of 10" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_DECOMPRESS_SYMBOLS", 11)
+    assert main(["decompress", str(small), "-o", str(out)]) == 0
     assert out.read_bytes() == sample.read_bytes()
+
+
+def test_memory_error_exits_2(sample, tmp_path, capsys, monkeypatch):
+    def exhausted(fact):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "decode", exhausted)
+    arc = tmp_path / "out.lzse"
+    assert main(["compress", str(sample), "-o", str(arc)]) == 0
+    assert main(["decompress", str(arc), "-o", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_internal_error_exits_2(sample, tmp_path, capsys, monkeypatch):
