@@ -21,10 +21,6 @@ from .factorization import Char, Copy, Factorization, validate
 from .ibst import Hint, Ibst
 from .text import Text
 
-EXIT_LEFT = 0    # jump target falls before the next path node
-EXIT_RIGHT = 1   # jump target falls after the next path node
-EXIT_FINAL = 2   # jump sequence reaches the last path node
-
 
 class PathSkip:
     """Skip structure for one heavy path (F_{i_1}, ..., F_{i_l}).
@@ -56,26 +52,27 @@ class PathSkip:
         self.L = L
         self.R = R
 
-        seq = [(L[j], EXIT_LEFT, j) for j in range(ell - 1)]
-        seq.append((L[ell - 1], EXIT_FINAL, ell - 1))
-        seq.extend((R[j + 1], EXIT_RIGHT, j) for j in range(ell - 2, -1, -1))
+        # (start, exit factor's path index, global range the jump lands in)
+        # per interval: exits left of the next path node, the final exit
+        # (None: its own source hint), then exits right of the next node.
+        seq = []
+        for j in range(ell - 1):
+            src = fact.factors[path[j] - 1]
+            seq.append((L[j], j, (src.start - 1, path[j + 1] - 1)))
+        seq.append((L[ell - 1], ell - 1, None))
+        for j in range(ell - 2, -1, -1):
+            src = fact.factors[path[j] - 1]
+            seq.append((R[j + 1], j, (path[j + 1], src.start + src.count - 1)))
         seq.append((R[0], None, None))  # closing boundary only
         boundaries = []
         exits = []
-        for (value, kind, j), (nxt, _, _) in zip(seq, seq[1:]):
+        for (value, j, landing), (nxt, _, _) in zip(seq, seq[1:]):
             if nxt == value:  # empty intervals are dropped
                 continue
             boundaries.append(value)
             f = path[j]
-            if kind == EXIT_FINAL:
-                hint = src_hints[f]
-            else:
-                src = fact.factors[f - 1]
-                child = path[j + 1]
-                if kind == EXIT_LEFT:
-                    hint = global_ibst.hint_for(src.start - 1, child - 1)
-                else:
-                    hint = global_ibst.hint_for(child, src.start + src.count - 1)
+            hint = (src_hints[f] if landing is None
+                    else global_ibst.hint_for(*landing))
             exits.append((f, L[j] - 1, hint))
         boundaries.append(R[0])
         self.ibst = Ibst(boundaries)

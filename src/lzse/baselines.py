@@ -1,10 +1,11 @@
 """LZ77/LZSS baselines, field-stream extraction and zeroth-order entropy.
 
 The baselines parse greedily with longest-previous-factor matches found
-through the suffix array (nearest smaller positions above and below in
-rank order maximize the LCP); sources may be any earlier text position
-and may self-overlap.  Field streams split each representation into the
-symbol groups whose empirical entropies the size report accounts.
+in one scan of the suffix and LCP arrays (the nearest earlier positions
+above and below in rank order maximize the LCP); sources may be any
+earlier text position and may self-overlap.  Field streams split each
+representation into the symbol groups whose empirical entropies the size
+report accounts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 from .factorization import Char, Factorization
 from .grammar import Cfg, grammar_to_lzse, repair_compress
-from .suffixindex import SuffixIndex, build_suffix_index, lcp_suffixes
+from .suffixindex import SuffixIndex, build_suffix_index
 from .text import Text
 
 
@@ -31,53 +32,36 @@ class LzssFactor(NamedTuple):
     sym: int      # literal symbol, -1 for a copy
 
 
-def _smaller_neighbors(sa: list[int]) -> tuple[list[int], list[int]]:
-    """Per rank, the nearest rank above/below holding a smaller position."""
-    n = len(sa)
-    psv = [-1] * n
-    nsv = [-1] * n
-    stack: list[int] = []
-    for r in range(n):
-        while stack and sa[stack[-1]] > sa[r]:
-            stack.pop()
-        psv[r] = stack[-1] if stack else -1
-        stack.append(r)
-    stack = []
-    for r in range(n - 1, -1, -1):
-        while stack and sa[stack[-1]] > sa[r]:
-            stack.pop()
-        nsv[r] = stack[-1] if stack else -1
-        stack.append(r)
-    return psv, nsv
+def _longest_previous(idx: SuffixIndex) -> tuple[list[int], list[int]]:
+    """Per 1-based position i, (source, length) of a longest previous factor.
 
-
-class _Lpf:
-    """Longest-previous-factor queries: nearest smaller positions in rank
-    order are the LCP-maximizing earlier occurrences; ties between the two
-    candidates go to the smaller source position."""
-
-    __slots__ = ("idx", "psv", "nsv")
-
-    def __init__(self, idx: SuffixIndex):
-        self.idx = idx
-        self.psv, self.nsv = _smaller_neighbors(idx.sa)
-
-    def longest_previous(self, i: int) -> tuple[int, int]:
-        idx = self.idx
-        r = idx.isa[i - 1]
-        best_src, best_len = 0, 0
-        j = self.psv[r]
-        if j >= 0:
-            length = lcp_suffixes(idx, idx.sa[j], i)
-            if length > 0:
-                best_src, best_len = idx.sa[j], length
-        j = self.nsv[r]
-        if j >= 0:
-            length = lcp_suffixes(idx, idx.sa[j], i)
-            if length > best_len or (length == best_len and 0 < idx.sa[j] < best_src):
-                if length > 0:
-                    best_src, best_len = idx.sa[j], length
-        return best_src, best_len
+    Of the two ranks nearest to i's whose suffixes start earlier, one above
+    and one below, take the longer LCP, the smaller source on a tie.  One
+    scan in rank order keeps a stack of positions increasing upward, each
+    with its LCP to the entry under it; the top sits in (top, below), over
+    a sentinel position 0.  The entry under a pushed position is its
+    neighbour above; the position that pops an entry is that entry's
+    neighbour below.  m is the LCP with the top: the adjacent LCP, folded
+    with the LCP of each entry popped.
+    """
+    n = len(idx.sa)
+    src = [0] * (n + 1)
+    length = [0] * (n + 1)
+    stack: list[tuple[int, int]] = []
+    top = below = 0
+    for p, m in zip(idx.sa, idx.lcp):
+        while top > p:
+            if m > length[top] or (m == length[top] and p < src[top]):
+                src[top] = p
+                length[top] = m
+            if below < m:
+                m = below
+            top, below = stack.pop()
+        src[p] = top
+        length[p] = m
+        stack.append((top, below))
+        top, below = p, m
+    return src, length
 
 
 def lz77_factorize(text: Text, idx: SuffixIndex | None = None) -> list[Lz77Factor]:
@@ -85,18 +69,16 @@ def lz77_factorize(text: Text, idx: SuffixIndex | None = None) -> list[Lz77Facto
     n = len(text)
     if idx is None:
         idx = build_suffix_index(text)
-    lpf = _Lpf(idx) if n else None
+    src, lpf = _longest_previous(idx)
     out: list[Lz77Factor] = []
     i = 1
     while i <= n:
-        src, length = lpf.longest_previous(i)
-        if length > n - i:
-            length = n - i  # keep one character for the mandatory literal
+        length = min(lpf[i], n - i)  # keep one character for the mandatory literal
         if length == 0:
             out.append(Lz77Factor(0, 0, text[i - 1]))
             i += 1
         else:
-            out.append(Lz77Factor(src, length, text[i + length - 1]))
+            out.append(Lz77Factor(src[i], length, text[i + length - 1]))
             i += length + 1
     return out
 
@@ -106,18 +88,16 @@ def lzss_factorize(text: Text, idx: SuffixIndex | None = None) -> list[LzssFacto
     n = len(text)
     if idx is None:
         idx = build_suffix_index(text)
-    lpf = _Lpf(idx) if n else None
+    src, lpf = _longest_previous(idx)
     out: list[LzssFactor] = []
     i = 1
     while i <= n:
-        src, length = lpf.longest_previous(i)
-        if length > n - i + 1:
-            length = n - i + 1
+        length = lpf[i]
         if length == 0:
             out.append(LzssFactor(0, 0, text[i - 1]))
             i += 1
         else:
-            out.append(LzssFactor(src, length, -1))
+            out.append(LzssFactor(src[i], length, -1))
             i += length
     return out
 

@@ -21,6 +21,7 @@ from . import generators
 
 # Decoding holds about 16 bytes per symbol (the list plus the Text tuple), so
 # 2^26 symbols peak near 1 GiB: 64 times the largest benchmark corpus (1 MiB).
+# extract holds the same Text and spends one access per symbol.
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 
 
@@ -79,6 +80,10 @@ def _cmd_access(args) -> int:
 def _cmd_extract(args) -> int:
     with open(args.input, "rb") as fh:
         fact = archive.deserialize(fh.read())
+    count = args.right - args.left + 1
+    if count > MAX_DECOMPRESS_SYMBOLS:
+        raise ValueError(f"extract of {count} symbols is above the limit of "
+                         f"{MAX_DECOMPRESS_SYMBOLS}")
     ix = build_access_index(fact)
     part = ix.extract(args.left, args.right)
     if part.is_byte_mode:

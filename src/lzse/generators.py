@@ -12,7 +12,7 @@ import random
 from typing import NamedTuple
 
 from .factorization import Char, Copy, Factorization
-from .text import Text
+from .text import Text, alphabet_for
 
 
 class OrspInstance(NamedTuple):
@@ -118,5 +118,4 @@ def gen_periodic(pattern, reps: int) -> Text:
     if isinstance(pattern, str):
         pattern = pattern.encode("latin-1")
     syms = list(pattern) * reps
-    alphabet = 256 if all(s < 256 for s in syms) else 1 << 32
-    return Text(syms, alphabet)
+    return Text(syms, alphabet_for(syms))

@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .factorization import Char, Copy, Factorization
-from .text import Text
+from .text import Text, alphabet_for
 
 
 class GrammarError(ValueError):
@@ -116,7 +116,7 @@ def expand(g: Cfg, alphabet_size: int | None = None) -> Text:
         else:
             out.append(sym)
     if alphabet_size is None:
-        alphabet_size = 256 if all(s < 256 for s in out) else 1 << 32
+        alphabet_size = alphabet_for(out)
     return Text(out, alphabet_size)
 
 
@@ -199,7 +199,7 @@ def grammar_to_lzse(g: Cfg, alphabet_size: int | None = None) -> Factorization:
             stack.append(("visit", child, 0))
     if alphabet_size is None:
         terminals = [s for rhs in rules.values() for s in rhs if g.is_terminal(s)]
-        alphabet_size = 256 if all(s < 256 for s in terminals) else 1 << 32
+        alphabet_size = alphabet_for(terminals)
     return Factorization(factors, alphabet_size=alphabet_size)
 
 

@@ -1,13 +1,14 @@
 """Suffix array, LCP array and range-minimum machinery.
 
 Positions handed to :func:`lcp_suffixes` (and stored in ``sa``) are 1-based,
-matching the factorization position model; ranks are 0-based.  The parsers
-ask for LCPs through :func:`lcp_suffixes` only; the range minima stay here.
+matching the factorization position model; ranks are 0-based.  Greedy asks
+for LCPs through :func:`lcp_suffixes`, the range minima's only reader; the
+LZ77/LZSS baselines scan ``sa`` and ``lcp`` in rank order instead.
+numpy is imported inside the functions that build arrays, so importing
+the package (and the read-side commands) never loads it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .text import Text
 
@@ -18,6 +19,7 @@ class RangeArgMin:
     __slots__ = ("values", "_tables")
 
     def __init__(self, values):
+        import numpy as np
         arr = np.asarray(values, dtype=np.int64)
         self.values = arr
         n = len(arr)
@@ -89,6 +91,7 @@ def _pack_keys(text: Text) -> tuple[np.ndarray, int, int]:
     ``width`` symbols, a shorter suffix first, and key // base**(width - m)
     packs the first m symbols alone.
     """
+    import numpy as np
     n = len(text)
     if text.is_byte_mode:
         digits = np.frombuffer(bytes(text.symbols), dtype=np.uint8).astype(np.int64)
@@ -116,6 +119,7 @@ def _group_ends(sorted_keys: np.ndarray, slots: np.ndarray):
     ``slots`` are the ascending SA slots the run occupies; a group is a
     maximal run of equal keys and its end is the slot of its last member.
     """
+    import numpy as np
     is_end = np.empty(len(sorted_keys), dtype=bool)
     is_end[-1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_end[:-1])
@@ -135,6 +139,7 @@ def _prefix_doubling(key: np.ndarray, width: int):
     their first width*2**k symbols.  The final ranks, all distinct, are the
     ISA and are not kept as a level.
     """
+    import numpy as np
     n = len(key) - 1
     sa = np.argsort(key[:n])
     rank = np.empty(n + 1, dtype=np.int32)
@@ -176,6 +181,7 @@ def _adjacent_lcp(sa: np.ndarray, key: np.ndarray, base: int, width: int,
     leaves less than ``width`` symbols; prefixes of the packed keys of
     halving length finish those.
     """
+    import numpy as np
     n = len(sa)
     lcp = np.zeros(n, dtype=np.int64)
     a = sa[:-1].copy()

@@ -6,6 +6,11 @@ BYTE_ALPHABET = 256
 TOKEN_ALPHABET = 1 << 32
 
 
+def alphabet_for(symbols) -> int:
+    """The byte alphabet when every symbol fits in a byte, else the token one."""
+    return BYTE_ALPHABET if all(s < BYTE_ALPHABET for s in symbols) else TOKEN_ALPHABET
+
+
 class Text:
     """Immutable sequence of non-negative integer symbols.
 

@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library's fast paths:
 suffix sorting by direct string comparison, LCP by character scan, path
 counting by exhaustive enumeration, heavy edges by scanning each copy's
-source, Re-Pair by full numpy rescans of the sequence in every round, and
-random-but-valid factorizations built factor by factor.
+source, Re-Pair by full numpy rescans of the sequence in every round,
+LZ77/LZSS by two nearest-smaller-position passes plus range-minimum LCP
+queries, and random-but-valid factorizations built factor by factor.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import random
 
 import numpy as np
 
+from lzse.baselines import Lz77Factor, LzssFactor
 from lzse.factorization import Char, Copy, Factorization
 from lzse.grammar import Cfg, GrammarError
+from lzse.suffixindex import SuffixIndex, build_suffix_index, lcp_suffixes
 from lzse.text import Text
 
 
@@ -244,3 +247,96 @@ def repair_compress_reference(text: Text) -> Cfg:
     start = base + len(label_rules)
     rules[start] = tuple(symbol(v) for v in seq.tolist())
     return Cfg(rules, start)
+
+
+def _smaller_neighbors(sa: list[int]) -> tuple[list[int], list[int]]:
+    """Per rank, the nearest rank above/below holding a smaller position."""
+    n = len(sa)
+    psv = [-1] * n
+    nsv = [-1] * n
+    stack: list[int] = []
+    for r in range(n):
+        while stack and sa[stack[-1]] > sa[r]:
+            stack.pop()
+        psv[r] = stack[-1] if stack else -1
+        stack.append(r)
+    stack = []
+    for r in range(n - 1, -1, -1):
+        while stack and sa[stack[-1]] > sa[r]:
+            stack.pop()
+        nsv[r] = stack[-1] if stack else -1
+        stack.append(r)
+    return psv, nsv
+
+
+class _Lpf:
+    """Longest-previous-factor queries: nearest smaller positions in rank
+    order are the LCP-maximizing earlier occurrences; ties between the two
+    candidates go to the smaller source position."""
+
+    __slots__ = ("idx", "psv", "nsv")
+
+    def __init__(self, idx: SuffixIndex):
+        self.idx = idx
+        self.psv, self.nsv = _smaller_neighbors(idx.sa)
+
+    def longest_previous(self, i: int) -> tuple[int, int]:
+        idx = self.idx
+        r = idx.isa[i - 1]
+        best_src, best_len = 0, 0
+        j = self.psv[r]
+        if j >= 0:
+            length = lcp_suffixes(idx, idx.sa[j], i)
+            if length > 0:
+                best_src, best_len = idx.sa[j], length
+        j = self.nsv[r]
+        if j >= 0:
+            length = lcp_suffixes(idx, idx.sa[j], i)
+            if length > best_len or (length == best_len and 0 < idx.sa[j] < best_src):
+                if length > 0:
+                    best_src, best_len = idx.sa[j], length
+        return best_src, best_len
+
+
+def lz77_factorize_reference(text: Text,
+                             idx: SuffixIndex | None = None) -> list[Lz77Factor]:
+    """Greedy LZ77 triples from per-query RMQ LCPs of both neighbours."""
+    n = len(text)
+    if idx is None:
+        idx = build_suffix_index(text)
+    lpf = _Lpf(idx) if n else None
+    out: list[Lz77Factor] = []
+    i = 1
+    while i <= n:
+        src, length = lpf.longest_previous(i)
+        if length > n - i:
+            length = n - i  # keep one character for the mandatory literal
+        if length == 0:
+            out.append(Lz77Factor(0, 0, text[i - 1]))
+            i += 1
+        else:
+            out.append(Lz77Factor(src, length, text[i + length - 1]))
+            i += length + 1
+    return out
+
+
+def lzss_factorize_reference(text: Text,
+                             idx: SuffixIndex | None = None) -> list[LzssFactor]:
+    """Greedy LZSS from per-query RMQ LCPs of both neighbours."""
+    n = len(text)
+    if idx is None:
+        idx = build_suffix_index(text)
+    lpf = _Lpf(idx) if n else None
+    out: list[LzssFactor] = []
+    i = 1
+    while i <= n:
+        src, length = lpf.longest_previous(i)
+        if length > n - i + 1:
+            length = n - i + 1
+        if length == 0:
+            out.append(LzssFactor(0, 0, text[i - 1]))
+            i += 1
+        else:
+            out.append(LzssFactor(src, length, -1))
+            i += length
+    return out

@@ -86,7 +86,7 @@ def test_figure_global_boundaries():
 
 
 def test_single_node_path_exit_is_final():
-    # a one-factor path always exits EXIT_FINAL at the query offset, so it
+    # a one-factor path always takes its final exit at the query offset, so it
     # carries no skip structure and access jumps straight to its source
     rng = random.Random(36)
     text = random_text(rng, 300, 2)

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lzse.access import build_access_index
 from lzse.archive import (ArchiveError, deserialize, read_token_text,
                           read_varint, serialize, write_token_text, write_varint)
-from lzse.factorization import Char, Copy, Factorization, decode
+from lzse.factorization import Char, Copy, Factorization, access_naive, decode
 from lzse.greedy import greedy_factorize
-from lzse.text import Text
+from lzse.text import TOKEN_ALPHABET, Text
 
 from helpers import random_text, random_valid_factorization
 
@@ -97,3 +99,47 @@ def test_token_text_file_roundtrip():
     assert read_token_text(write_token_text(t)) == t
     with pytest.raises(ArchiveError):
         read_token_text(b"NOPE\x01\x00")
+
+
+def small_archive(seed: int, token: bool) -> bytes:
+    rng = random.Random(seed)
+    fact = random_valid_factorization(rng, max_z=14)
+    if token:
+        symbols = [0, 300, (1 << 31) + 5, (1 << 32) - 1]
+        fact = Factorization([Char(rng.choice(symbols)) if isinstance(f, Char) else f
+                              for f in fact.factors], alphabet_size=TOKEN_ALPHABET)
+    return serialize(fact)
+
+
+# (kind, offset, byte): overwrite, insert or delete one byte
+_edits = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                            st.integers(0, 255), st.integers(0, 255)), max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 1 << 20), st.booleans(), _edits, st.integers(0, 6),
+       st.randoms(use_true_random=False))
+def test_mutated_archives_fail_typed_or_answer(seed, token, edits, drop, rnd):
+    data = bytearray(small_archive(seed, token))
+    for kind, at, byte in edits:
+        at %= len(data) + (kind == "insert")  # archives hold at least 10 bytes
+        if kind == "set":
+            data[at] = byte
+        elif kind == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    del data[max(0, len(data) - drop):]
+    try:
+        fact = deserialize(bytes(data))
+    except ArchiveError:
+        return
+    ix = build_access_index(fact)
+    if fact.n == 0:
+        return
+    positions = {1, fact.n} | {rnd.randint(1, fact.n) for _ in range(16)}
+    if fact.n <= 1 << 16:
+        text = decode(fact)
+        assert all(ix.access(p) == text[p - 1] for p in positions)
+    else:
+        assert all(ix.access(p) == access_naive(fact, p) for p in positions)

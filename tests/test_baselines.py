@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lzse.baselines import (Lz77Factor, LzssFactor, extract_field_streams,
                             h0, lz77_decode, lz77_factorize, lzss_decode,
@@ -12,7 +13,8 @@ from lzse.grammar import repair_compress
 from lzse.greedy import greedy_factorize
 from lzse.text import Text
 
-from helpers import random_text
+from helpers import (lz77_factorize_reference, lzss_factorize_reference,
+                     random_text)
 
 
 def brute_longest_previous(syms, i):
@@ -134,3 +136,49 @@ def test_orsp_source_stream_entropy():
         fs = extract_field_streams("lzse", fact)
         assert all(1 <= s <= m for s in fs.streams["source"])
         assert h0(fs.streams["source"]) <= math.log2(m) + 1e-12
+
+
+def assert_same_as_reference(t: Text) -> None:
+    # sources included: both parsers must pick the same occurrence
+    assert lz77_factorize(t) == lz77_factorize_reference(t)
+    assert lzss_factorize(t) == lzss_factorize_reference(t)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 26])
+def test_neighbour_scan_matches_reference_random(sigma):
+    rng = random.Random(900 + sigma)
+    for _ in range(120):
+        assert_same_as_reference(random_text(rng, rng.randint(0, 200), sigma))
+
+
+def test_neighbour_scan_matches_reference_tokens():
+    rng = random.Random(77)
+    symbols = [0, 7, (1 << 31) + 5, (1 << 32) - 1]
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        t = Text.from_tokens(rng.choice(symbols[:k]) for _ in range(rng.randint(0, 150)))
+        assert_same_as_reference(t)
+
+
+def block_repetitive(seed: int, size: int) -> Text:
+    rng = random.Random(seed)
+    pool = [bytes(rng.randrange(256) for _ in range(256)) for _ in range(16)]
+    return Text.from_bytes(b"".join(pool[rng.randrange(16)]
+                                    for _ in range(size // 256)))
+
+
+@pytest.mark.parametrize("text", [
+    Text.from_str("a" * 3000),
+    Text.from_str("ab" * 1500),
+    Text.from_str("abcab" * 700),
+    block_repetitive(5, 1 << 16),
+], ids=["unary", "periodic-2", "periodic-5", "block-64KiB"])
+def test_neighbour_scan_matches_reference_structured(text):
+    assert_same_as_reference(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(b"abc"), st.integers(1, 40)),
+                max_size=12))
+def test_neighbour_scan_matches_reference_runs(runs):
+    assert_same_as_reference(Text(bytes(c for c, k in runs for _ in range(k))))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -147,6 +150,50 @@ def test_decompress_refuses_above_symbol_limit(sample, tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "MAX_DECOMPRESS_SYMBOLS", 11)
     assert main(["decompress", str(small), "-o", str(out)]) == 0
     assert out.read_bytes() == sample.read_bytes()
+
+
+def test_extract_refuses_above_symbol_limit(sample, tmp_path, capsys, monkeypatch):
+    small = tmp_path / "small.lzse"
+    assert main(["compress", str(sample), "-o", str(small)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_DECOMPRESS_SYMBOLS", 10)
+    assert main(["extract", str(small), "-l", "1", "-r", "11"]) == 2
+    assert capsys.readouterr().err == ("error: extract of 11 symbols is above "
+                                       "the limit of 10\n")
+    assert main(["extract", str(small), "-l", "2", "-r", "11"]) == 0
+    assert capsys.readouterr().out == "babbababab\n"
+    monkeypatch.undo()
+    # the n = 2**69 archive: refused before the index is built
+    fact = Factorization([Char(97), Copy(1, 1)] + [Copy(1, k) for k in range(2, 70)])
+    huge = tmp_path / "huge.lzse"
+    huge.write_bytes(archive.serialize(fact))
+    assert main(["extract", str(huge), "-l", "1", "-r", str(10 ** 12)]) == 2
+    assert capsys.readouterr().err == (f"error: extract of {10 ** 12} symbols is "
+                                       f"above the limit of {1 << 26}\n")
+
+
+def test_read_commands_do_not_load_numpy(tmp_path):
+    script = """if True:
+        import sys
+        from lzse import archive, cli
+        from lzse.factorization import Char, Copy, Factorization
+        arc = sys.argv[1]
+        fact = Factorization([Char(97), Char(98), Copy(1, 2), Copy(2, 2)])
+        with open(arc, "wb") as fh:
+            fh.write(archive.serialize(fact))
+        for argv in (["decompress", arc, "-o", arc + ".out"],
+                     ["access", arc, "-p", "5"],
+                     ["extract", arc, "-l", "2", "-r", "7"]):
+            assert cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, "a read command loaded numpy"
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.lzse")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[1:] == ["b", "babbab"]
+    assert (tmp_path / "s.lzse.out").read_bytes() == b"ababbab"
 
 
 def test_memory_error_exits_2(sample, tmp_path, capsys, monkeypatch):
