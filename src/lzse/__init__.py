@@ -15,7 +15,7 @@ from .grammar import (Cfg, Slp, cfg_to_slp, expand, grammar_to_lzse,
                       orsp_solve_from_slp, repair_compress)
 from .greedy import greedy_factorize, greedy_factorize_oracle
 from .ibst import Hint, Ibst
-from .suffixindex import SuffixIndex, build_suffix_index, lcp_suffixes
+from .suffixindex import SuffixIndex, build_suffix_index
 from .text import Text
 
 __version__ = "0.1.0"
@@ -28,5 +28,5 @@ __all__ = [
     "Cfg", "Slp", "cfg_to_slp", "expand", "grammar_to_lzse",
     "orsp_solve_from_slp", "repair_compress", "greedy_factorize",
     "greedy_factorize_oracle", "Hint", "Ibst", "SuffixIndex",
-    "build_suffix_index", "lcp_suffixes", "Text",
+    "build_suffix_index", "Text",
 ]

@@ -198,7 +198,7 @@ def extract_field_streams(method: str, artifact) -> FieldStreams:
 METHODS = ("lz77", "lzss", "lzse", "repair", "repair-se")
 
 
-def _method_artifact(method: str, text: Text, idx: SuffixIndex,
+def _method_artifact(method: str, text: Text, idx: SuffixIndex | None,
                      repair_grammar: Cfg | None):
     from .greedy import greedy_factorize
     if method == "lz77":
@@ -206,7 +206,7 @@ def _method_artifact(method: str, text: Text, idx: SuffixIndex,
     if method == "lzss":
         return lzss_factorize(text, idx)
     if method == "lzse":
-        return greedy_factorize(text, idx)
+        return greedy_factorize(text)
     if method in ("repair", "repair-se"):
         return repair_grammar
     raise ValueError(f"unknown method {method!r}")
@@ -225,7 +225,7 @@ def size_report(methods, text: Text) -> dict:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     idx = (build_suffix_index(text)
-           if any(m in ("lz77", "lzss", "lzse") for m in methods) else None)
+           if any(m in ("lz77", "lzss") for m in methods) else None)
     repair_grammar = None
     if any(m in ("repair", "repair-se") for m in methods):
         repair_grammar = repair_compress(text)

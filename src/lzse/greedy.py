@@ -6,48 +6,110 @@ ties by the leftmost source start.  When no run matches, a char factor is
 emitted.  The two implementations must agree factor-for-factor, sources
 included; the oracle enumerates every candidate start, the practical parser
 only the starts marked in the extended-factor trie.
+
+The practical parser needs no index.  It holds the text once as a flat
+buffer (one byte per symbol in byte mode, four in token mode), and every
+comparison is a slice compare of that buffer: the trie's edge labels are
+(offset, length) ranges of the text, and each candidate's match length is
+found by galloping over blocks that double in size.  The trie is path
+compressed (PATRICIA, Morrison 1968), so it has O(z) nodes, and the walk
+costs one dict lookup and one compare per edge rather than per symbol.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 
 from .factorization import Char, Copy, Factorization
-from .suffixindex import SuffixIndex, build_suffix_index, lcp_suffixes
 from .text import Text
 
 
-def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorization:
+def greedy_factorize(text: Text, idx=None) -> Factorization:
     """Greedy LZSE factorization via the extended-factor trie.
 
     Candidate starts come from trie marks on the path matching the unparsed
-    suffix; each is extended with one LCP query and truncated to whole
-    factors.  The LCP is capped at the parsed prefix so a source can never
-    overlap the factor being formed.
+    suffix; each is extended by a direct compare and truncated to whole
+    factors.  The match is capped at the parsed prefix so a source can
+    never overlap the factor being formed.  ``idx`` is accepted for callers
+    that pass a prebuilt suffix index, and ignored.
     """
     n = len(text)
     if n == 0:
         return Factorization([], 0, text.alphabet_size)
-    if idx is None:
-        idx = build_suffix_index(text)
     syms = text.symbols
-    # Symbol-keyed trie over extended factors.  Each node carries at most
-    # two marks (factor index, factor start position); more would
-    # contradict the at-most-twice property of extended factors.
+    if text.is_byte_mode:
+        buf, w = bytes(syms), 1
+    else:
+        tokens = array("I", syms)
+        buf, w = tokens.tobytes(), tokens.itemsize
+
+    def common_prefix(a: int, b: int, cap: int) -> int:
+        """Symbols shared by the texts at 0-based a and b, at most cap.
+
+        Blocks of 16, 32, 64, ... bytes are compared until one differs.
+        There the lowest set bit of the two blocks' XOR, read little-endian,
+        marks the first differing byte, which lies in the first differing
+        symbol.
+        """
+        a *= w
+        b *= w
+        cap *= w
+        lo = 0
+        step = 16
+        while lo < cap:
+            hi = min(lo + step, cap)
+            x = buf[a + lo:a + hi]
+            y = buf[b + lo:b + hi]
+            if x != y:
+                diff = int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
+                return (lo + ((diff & -diff).bit_length() - 1 >> 3)) // w
+            lo = hi
+            step <<= 1
+        return cap // w
+
+    # Path-compressed trie over extended factors.  Node v hangs from its
+    # parent by the edge text[start[v] : start[v] + size[v]], and children
+    # are keyed by their edge's first symbol.  Every inserted string ends
+    # at a node, which carries at most two marks (factor index, factor
+    # start position); more would contradict the at-most-twice property of
+    # extended factors.
+    start = [0]
+    size = [0]
     children: list[dict[int, int]] = [{}]
     marks: list[list[tuple[int, int]] | None] = [None]
 
     def insert(lo: int, hi: int, mark: tuple[int, int]) -> None:
         v = 0
-        for t in range(lo, hi):
-            c = syms[t]
-            nxt = children[v].get(c)
-            if nxt is None:
-                nxt = len(children)
-                children[v][c] = nxt
+        while lo < hi:
+            c = children[v].get(syms[lo])
+            if c is None:
+                c = len(start)
+                children[v][syms[lo]] = c
+                start.append(lo)
+                size.append(hi - lo)
                 children.append({})
                 marks.append(None)
-            v = nxt
+                v = c
+                break
+            k = size[c]
+            if k <= hi - lo and (k == 1 or buf[lo * w:(lo + k) * w]
+                                 == buf[start[c] * w:(start[c] + k) * w]):
+                v = c
+                lo += k
+                continue
+            # split c's edge after the d < k symbols it shares with the string
+            d = common_prefix(lo, start[c], min(k, hi - lo))
+            m = len(start)
+            children[v][syms[lo]] = m
+            start.append(start[c])
+            size.append(d)
+            children.append({syms[start[c] + d]: c})
+            marks.append(None)
+            start[c] += d
+            size[c] -= d
+            v = m
+            lo += d
         if marks[v] is None:
             marks[v] = [mark]
         elif len(marks[v]) >= 2:
@@ -70,14 +132,25 @@ def greedy_factorize(text: Text, idx: SuffixIndex | None = None) -> Factorizatio
             v = children[v].get(syms[p + depth])
             if v is None:
                 break
-            depth += 1
+            # take the whole edge or stop: no mark lies inside an edge, and
+            # a slice cut short by the end of the text compares unequal; the
+            # child's key has matched the edge's first symbol already
+            k = size[v]
+            if k > 1:
+                q = (p + depth) * w
+                e = start[v] * w
+                if buf[q:q + k * w] != buf[e:e + k * w]:
+                    break
+            depth += k
             node_marks = marks[v]
             if node_marks is None:
                 continue
             marked_depths.append(depth)
             for fi, fpos in node_marks:
+                # the walk matched `depth` symbols of the mark's string;
                 # capped at the parsed prefix: no overlap with the new factor
-                d = min(lcp_suffixes(idx, p + 1, fpos), p - fpos + 1)
+                cap = min(p - fpos + 1, n - p)
+                d = depth + common_prefix(p + depth, fpos - 1 + depth, cap - depth)
                 j = bisect_right(bounds, fpos + d) - 1
                 cand = bounds[j] - fpos
                 if cand > best_len or (cand == best_len and fpos < best_pos):

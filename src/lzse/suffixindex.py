@@ -1,11 +1,10 @@
-"""Suffix array, LCP array and range-minimum machinery.
+"""Suffix array, inverse suffix array and LCP array.
 
-Positions handed to :func:`lcp_suffixes` (and stored in ``sa``) are 1-based,
-matching the factorization position model; ranks are 0-based.  Greedy asks
-for LCPs through :func:`lcp_suffixes`, the range minima's only reader; the
-LZ77/LZSS baselines scan ``sa`` and ``lcp`` in rank order instead.
-numpy is imported inside the functions that build arrays, so importing
-the package (and the read-side commands) never loads it.
+Positions stored in ``sa`` are 1-based, matching the factorization
+position model; ranks are 0-based.  The LZ77/LZSS baselines scan ``sa`` and
+``lcp`` in rank order.  numpy is imported inside the functions that build
+arrays, so importing the package (and the read-side commands) never loads
+it.
 """
 
 from __future__ import annotations
@@ -14,7 +13,11 @@ from .text import Text
 
 
 class RangeArgMin:
-    """Sparse-table range-minimum structure returning the leftmost argmin."""
+    """Sparse-table range-minimum structure returning the leftmost argmin.
+
+    No module of the package builds one; the test references answer LCP
+    queries with it, and the benchmark's traced run times its build.
+    """
 
     __slots__ = ("values", "_tables")
 
@@ -59,22 +62,21 @@ class RangeArgMin:
 
 
 class SuffixIndex:
-    """Suffix array over a text with LCP array and O(1) LCP range minima.
+    """Suffix array over a text with its inverse and LCP array.
 
     sa[i] is the 1-based start of the rank-i suffix; isa[p-1] is the rank of
     the suffix starting at position p; lcp[i] is the common prefix length of
     the suffixes of ranks i-1 and i (lcp[0] = 0).
     """
 
-    __slots__ = ("text", "n", "sa", "isa", "lcp", "rmq")
+    __slots__ = ("text", "n", "sa", "isa", "lcp")
 
-    def __init__(self, text: Text, sa, isa, lcp, rmq):
+    def __init__(self, text: Text, sa, isa, lcp):
         self.text = text
         self.n = len(text)
         self.sa = sa
         self.isa = isa
         self.lcp = lcp
-        self.rmq = rmq
 
 
 # Packed keys must stay below 2**63 to fit int64.
@@ -213,29 +215,8 @@ def _suffix_arrays(text: Text):
 
 
 def build_suffix_index(text: Text) -> SuffixIndex:
-    """Build the suffix array, inverse, LCP array and LCP range minima."""
+    """Build the suffix array, its inverse and the LCP array."""
     if len(text) == 0:
-        return SuffixIndex(text, [], [], [], RangeArgMin([]))
+        return SuffixIndex(text, [], [], [])
     sa, isa, lcp = _suffix_arrays(text)
-    # Drop each array once it is a list, and only then build the tables:
-    # in the other order the greedy parse that follows peaks ~9 MiB higher
-    # on 1 MiB of input.
-    sa_list = (sa + 1).tolist()
-    del sa
-    isa_list = isa.tolist()
-    del isa
-    return SuffixIndex(text, sa_list, isa_list, lcp.tolist(), RangeArgMin(lcp))
-
-
-def lcp_suffixes(idx: SuffixIndex, p: int, q: int) -> int:
-    """Length of the longest common prefix of the suffixes at 1-based p and q."""
-    n = idx.n
-    if not (1 <= p <= n and 1 <= q <= n):
-        raise ValueError(f"positions ({p}, {q}) out of range 1..{n}")
-    if p == q:
-        return n - p + 1
-    rp = idx.isa[p - 1]
-    rq = idx.isa[q - 1]
-    if rp > rq:
-        rp, rq = rq, rp
-    return idx.rmq.min(rp + 1, rq)
+    return SuffixIndex(text, (sa + 1).tolist(), isa.tolist(), lcp.tolist())

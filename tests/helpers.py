@@ -5,19 +5,21 @@ suffix sorting by direct string comparison, LCP by character scan, path
 counting by exhaustive enumeration, heavy edges by scanning each copy's
 source, Re-Pair by full numpy rescans of the sequence in every round,
 LZ77/LZSS by two nearest-smaller-position passes plus range-minimum LCP
-queries, and random-but-valid factorizations built factor by factor.
+queries, greedy LZSE from a per-symbol trie plus the same LCP queries,
+and random-but-valid factorizations built factor by factor.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 import numpy as np
 
 from lzse.baselines import Lz77Factor, LzssFactor
 from lzse.factorization import Char, Copy, Factorization
 from lzse.grammar import Cfg, GrammarError
-from lzse.suffixindex import SuffixIndex, build_suffix_index, lcp_suffixes
+from lzse.suffixindex import RangeArgMin, SuffixIndex, build_suffix_index
 from lzse.text import Text
 
 
@@ -91,6 +93,28 @@ def suffix_index_reference(text: Text) -> tuple[list[int], list[int], list[int]]
         isa0[p] = r
     lcp = _kasai_lcp(symbols, sa0, isa0)
     return [int(p) + 1 for p in sa0], isa0, lcp
+
+
+# (index, its RangeArgMin over lcp): the last index queried.  Holding the
+# index keeps the identity test sound; the references query one at a time.
+_lcp_minima: list = [None, None]
+
+
+def lcp_suffixes(idx: SuffixIndex, p: int, q: int) -> int:
+    """Length of the longest common prefix of the suffixes at 1-based p and q,
+    as the minimum of ``idx.lcp`` between their ranks."""
+    n = idx.n
+    if not (1 <= p <= n and 1 <= q <= n):
+        raise ValueError(f"positions ({p}, {q}) out of range 1..{n}")
+    if p == q:
+        return n - p + 1
+    if _lcp_minima[0] is not idx:
+        _lcp_minima[:] = [idx, RangeArgMin(idx.lcp)]
+    rp = idx.isa[p - 1]
+    rq = idx.isa[q - 1]
+    if rp > rq:
+        rp, rq = rq, rp
+    return _lcp_minima[1].min(rp + 1, rq)
 
 
 def dag_children(fact: Factorization) -> list[list[int]]:
@@ -168,6 +192,14 @@ def random_valid_factorization(rng: random.Random, max_z: int = 60,
 
 def random_text(rng: random.Random, n: int, sigma: int) -> Text:
     return Text(bytes(rng.randrange(sigma) for _ in range(n)))
+
+
+def block_repetitive(seed: int, size: int) -> Text:
+    """``size`` bytes of 256-byte blocks drawn from a pool of 16 random ones."""
+    rng = random.Random(seed)
+    pool = [bytes(rng.randrange(256) for _ in range(256)) for _ in range(16)]
+    return Text.from_bytes(b"".join(pool[rng.randrange(16)]
+                                    for _ in range(size // 256)))
 
 
 def factor_string(fact: Factorization, text: Text, i: int) -> tuple[int, ...]:
@@ -340,3 +372,95 @@ def lzss_factorize_reference(text: Text,
             out.append(LzssFactor(src, length, -1))
             i += length
     return out
+
+
+def greedy_factorize_reference(text: Text,
+                               idx: SuffixIndex | None = None) -> Factorization:
+    """Greedy LZSE from a per-symbol dict trie and suffix-index LCP queries.
+
+    Candidate starts come from trie marks on the path matching the unparsed
+    suffix; each is extended with one LCP query and truncated to whole
+    factors.  The LCP is capped at the parsed prefix so a source can never
+    overlap the factor being formed.
+    """
+    n = len(text)
+    if n == 0:
+        return Factorization([], 0, text.alphabet_size)
+    if idx is None:
+        idx = build_suffix_index(text)
+    syms = text.symbols
+    # Symbol-keyed trie over extended factors.  Each node carries at most
+    # two marks (factor index, factor start position); more would
+    # contradict the at-most-twice property of extended factors.
+    children: list[dict[int, int]] = [{}]
+    marks: list[list[tuple[int, int]] | None] = [None]
+
+    def insert(lo: int, hi: int, mark: tuple[int, int]) -> None:
+        v = 0
+        for t in range(lo, hi):
+            c = syms[t]
+            nxt = children[v].get(c)
+            if nxt is None:
+                nxt = len(children)
+                children[v][c] = nxt
+                children.append({})
+                marks.append(None)
+            v = nxt
+        if marks[v] is None:
+            marks[v] = [mark]
+        elif len(marks[v]) >= 2:
+            raise RuntimeError("more than two marks on a trie node")
+        else:
+            marks[v].append(mark)
+
+    factors: list[Char | Copy] = []
+    bounds = [1]  # bounds[t] = pos_l of factor t+1
+    deferred = 0  # factor awaiting its doubled extended factor, 0 = none
+    p = 0  # symbols parsed so far
+    while p < n:
+        best_len = 0
+        best_pos = n + 2
+        best_start = best_end = 0
+        v = 0
+        depth = 0
+        marked_depths = []
+        while p + depth < n:
+            v = children[v].get(syms[p + depth])
+            if v is None:
+                break
+            depth += 1
+            node_marks = marks[v]
+            if node_marks is None:
+                continue
+            marked_depths.append(depth)
+            for fi, fpos in node_marks:
+                # capped at the parsed prefix: no overlap with the new factor
+                d = min(lcp_suffixes(idx, p + 1, fpos), p - fpos + 1)
+                j = bisect_right(bounds, fpos + d) - 1
+                cand = bounds[j] - fpos
+                if cand > best_len or (cand == best_len and fpos < best_pos):
+                    best_len = cand
+                    best_pos = fpos
+                    best_start = fi
+                    best_end = j
+        if best_len == 0:
+            factors.append(Char(syms[p]))
+            flen = 1
+        else:
+            factors.append(Copy(best_start, best_end - best_start + 1))
+            flen = best_len
+        k = len(factors)
+        bounds.append(bounds[-1] + flen)
+        p += flen
+        if deferred:
+            dlo = bounds[deferred - 1] - 1
+            insert(dlo, bounds[k] - 1, (deferred, dlo + 1))
+            deferred = 0
+        # F_k is already in the trie iff the walk passed a marked node at
+        # depth |F_k|; the deferred insert above marks depth |F_{k-1}F_k|
+        if flen in marked_depths:
+            deferred = k
+        else:
+            flo = bounds[k - 1] - 1
+            insert(flo, bounds[k] - 1, (k, flo + 1))
+    return Factorization(factors, n, text.alphabet_size)

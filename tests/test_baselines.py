@@ -13,8 +13,8 @@ from lzse.grammar import repair_compress
 from lzse.greedy import greedy_factorize
 from lzse.text import Text
 
-from helpers import (lz77_factorize_reference, lzss_factorize_reference,
-                     random_text)
+from helpers import (block_repetitive, lz77_factorize_reference,
+                     lzss_factorize_reference, random_text)
 
 
 def brute_longest_previous(syms, i):
@@ -158,13 +158,6 @@ def test_neighbour_scan_matches_reference_tokens():
         k = rng.randint(1, 4)
         t = Text.from_tokens(rng.choice(symbols[:k]) for _ in range(rng.randint(0, 150)))
         assert_same_as_reference(t)
-
-
-def block_repetitive(seed: int, size: int) -> Text:
-    rng = random.Random(seed)
-    pool = [bytes(rng.randrange(256) for _ in range(256)) for _ in range(16)]
-    return Text.from_bytes(b"".join(pool[rng.randrange(16)]
-                                    for _ in range(size // 256)))
 
 
 @pytest.mark.parametrize("text", [

@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lzse import archive, cli
 from lzse.cli import main
@@ -194,6 +196,60 @@ def test_read_commands_do_not_load_numpy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[1:] == ["b", "babbab"]
     assert (tmp_path / "s.lzse.out").read_bytes() == b"ababbab"
+
+
+def test_write_commands_do_not_load_numpy(tmp_path):
+    script = """if True:
+        import sys
+        from lzse import cli
+        src = sys.argv[1]
+        with open(src, "wb") as fh:
+            fh.write(b"ababbababab" * 50)
+        for argv in (["compress", src, "-o", src + ".g", "--method", "greedy"],
+                     ["compress", src, "-o", src + ".r", "--method", "repair-se"],
+                     ["stats", src, "--methods", "lzse", "--json"],
+                     ["stats", src, "--methods", "lzse,repair,repair-se"]):
+            assert cli.main(argv) == 0, argv
+            assert "numpy" not in sys.modules, argv
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "in.txt")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "in.txt.g").exists() and (tmp_path / "in.txt.r").exists()
+
+
+_garbage = st.one_of(
+    st.binary(max_size=32),
+    st.tuples(st.sampled_from([b"LZSE", b"LZTK", b"LZSE\x01", b"LZTK\x01"]),
+              st.binary(max_size=28)).map(b"".join),
+    # well-formed token texts of up to six tokens
+    st.integers(0, 6).flatmap(lambda k: st.binary(min_size=4 * k, max_size=4 * k)
+                              .map(lambda b: b"LZTK\x01" + bytes([k]) + b)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_garbage)
+def test_garbage_input_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        arc = os.path.join(tmp, "in.lzse")
+        for argv in (["compress", path, "-o", arc],
+                     ["decompress", path, "-o", os.path.join(tmp, "out")],
+                     ["access", path, "-p", "1"],
+                     ["extract", path, "-l", "1", "-r", "3"],
+                     ["verify", path],
+                     ["stats", path, "--json"]):
+            assert main(argv) in (0, 2), argv
+        if os.path.exists(arc):
+            # whatever compress accepted, its archive restores
+            restored = os.path.join(tmp, "restored")
+            assert main(["decompress", arc, "-o", restored]) == 0
+            assert cli._read_text(restored) == cli._read_text(path)
 
 
 def test_memory_error_exits_2(sample, tmp_path, capsys, monkeypatch):

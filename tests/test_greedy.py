@@ -1,12 +1,18 @@
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from lzse.factorization import (Char, Copy, Factorization, compute_extended_factors,
                                 decode, extended_factor_strings, validate)
+from lzse.generators import gen_lower_bound_family, gen_periodic, gen_random, gen_unary
 from lzse.greedy import greedy_factorize, greedy_factorize_oracle
 from lzse.suffixindex import build_suffix_index
 from lzse.text import Text
 
-from helpers import all_binary_texts, factor_string, random_text
+from helpers import (all_binary_texts, block_repetitive, factor_string,
+                     greedy_factorize_reference, random_text)
+from test_acceptance import zipf_words_pattern
 
 
 def both(text: Text):
@@ -125,3 +131,63 @@ def test_parser_accepts_prebuilt_index():
     t = Text.from_str("abracadabra")
     idx = build_suffix_index(t)
     assert greedy_factorize(t, idx).factors == greedy_factorize(t).factors
+
+
+def _fibonacci(n: int) -> bytes:
+    a, b = b"a", b"ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _thue_morse(n: int) -> bytes:
+    return bytes(97 + bin(i).count("1") % 2 for i in range(n))
+
+
+def _mutated_repeats(rng: random.Random, n: int) -> bytes:
+    base = bytes(rng.randrange(97, 101) for _ in range(1024))
+    out = bytearray((base * (n // len(base) + 1))[:n])
+    for _ in range(n // 100):
+        out[rng.randrange(n)] = rng.randrange(97, 101)
+    return bytes(out)
+
+
+def _reference_families():
+    rng = random.Random(10)
+    zipf = zipf_words_pattern(rng, 1 << 13) * 4
+    # every pair of these tokens agrees in its three low bytes (or its three
+    # high ones), so a byte LCP stops one to three bytes into a token
+    low3 = [0x00ABCDEF | k << 24 for k in range(4)]
+    high3 = [0xABCDEF00 | k for k in range(4)]
+    yield "block-64KiB", block_repetitive(2024, 1 << 16)
+    yield "zipf-periodic", Text.from_bytes(zipf)
+    yield "zipf-periodic-tokens", Text.from_tokens(b << 16 | b for b in zipf)
+    yield "fibonacci", Text.from_bytes(_fibonacci(1 << 16))
+    yield "thue-morse", Text.from_bytes(_thue_morse(1 << 16))
+    yield "runs", Text.from_bytes(b"".join(b"a" * k + b"b" for k in range(1, 300)))
+    yield "unary", gen_unary(1 << 16)
+    yield "unary-zero", gen_unary(1 << 12, symbol=0)
+    yield "random-4", gen_random(1 << 14, 4, 3)
+    yield "random-2", gen_random(1 << 15, 2, 3)
+    yield "lower-bound-9", gen_lower_bound_family(9).text
+    yield "mutated-repeats", Text.from_bytes(_mutated_repeats(rng, 1 << 15))
+    yield "abcde", gen_periodic("abcde", 4000)
+    yield "tokens-3-low-bytes", Text.from_tokens(
+        [low3[0], low3[1], low3[2], low3[0], low3[1], low3[3]]
+        + [rng.choice(low3) for _ in range(3000)])
+    yield "tokens-3-high-bytes", Text.from_tokens(rng.choice(high3) for _ in range(3000))
+
+
+@pytest.mark.parametrize("name,text", list(_reference_families()),
+                         ids=[name for name, _ in _reference_families()])
+def test_matches_reference_parser(name, text):
+    # sources included: the trie must offer the same leftmost starts
+    assert greedy_factorize(text).factors == greedy_factorize_reference(text).factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(b"abc"), st.integers(1, 200)),
+                min_size=1, max_size=8))
+def test_runs_match_reference_parser(runs):
+    text = Text(bytes(c for c, k in runs for _ in range(k)))
+    assert greedy_factorize(text).factors == greedy_factorize_reference(text).factors

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lzse.generators import gen_periodic
-from lzse.suffixindex import RangeArgMin, build_suffix_index, lcp_suffixes
+from lzse.suffixindex import RangeArgMin, build_suffix_index
 from lzse.text import TOKEN_ALPHABET, Text
 
-from helpers import brute_lcp, brute_suffix_sort, random_text, suffix_index_reference
+from helpers import (brute_lcp, brute_suffix_sort, lcp_suffixes, random_text,
+                     suffix_index_reference)
 
 
 def test_banana_suffix_array():
