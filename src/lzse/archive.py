@@ -11,6 +11,9 @@ Varints are unsigned LEB128.
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from .factorization import Char, Copy, Factorization
 from .text import BYTE_ALPHABET, TOKEN_ALPHABET, Text
 
@@ -129,12 +132,14 @@ TOKEN_MAGIC = b"LZTK"
 
 
 def write_token_text(text: Text) -> bytes:
-    out = bytearray(TOKEN_MAGIC)
-    out.append(1)
-    write_varint(out, len(text))
-    for sym in text.symbols:
-        out.extend(sym.to_bytes(4, "little"))
-    return bytes(out)
+    head = bytearray(TOKEN_MAGIC)
+    head.append(1)
+    write_varint(head, len(text))
+    tokens = array("I", iter(text.symbols)) if text.is_byte_mode else text.symbols
+    if sys.byteorder == "big":
+        tokens = array("I", tokens)
+        tokens.byteswap()
+    return b"".join((head, tokens))
 
 
 def read_token_text(data: bytes) -> Text:
@@ -145,6 +150,8 @@ def read_token_text(data: bytes) -> Text:
     count, pos = read_varint(data, 5)
     if len(data) - pos != 4 * count:
         raise ArchiveError(f"expected {4 * count} token bytes", pos)
-    syms = [int.from_bytes(data[pos + 4 * t: pos + 4 * t + 4], "little")
-            for t in range(count)]
-    return Text(syms, TOKEN_ALPHABET)
+    tokens = array("I")
+    tokens.frombytes(memoryview(data)[pos:])
+    if sys.byteorder == "big":
+        tokens.byteswap()
+    return Text(tokens, TOKEN_ALPHABET)

@@ -19,9 +19,12 @@ from .greedy import greedy_factorize
 from .text import Text
 from . import generators
 
-# Decoding holds about 16 bytes per symbol (the list plus the Text tuple), so
-# 2^26 symbols peak near 1 GiB: 64 times the largest benchmark corpus (1 MiB).
-# extract holds the same Text and spends one access per symbol.
+# Decoding holds its output buffer and the Text's copy of it.  Measured peak
+# RSS of `lzse decompress` at 2^24 symbols (CPython 3.11, x86-64 Linux), over
+# the 16 MiB that `import lzse.cli` takes: 2 bytes per symbol in byte mode,
+# 8 in token mode.  So 2^26 symbols peak near 144 MiB and 530 MiB: 64 times
+# the largest benchmark corpus (1 MiB).  extract holds the same Text and
+# spends one access per symbol.
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 
 

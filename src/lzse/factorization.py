@@ -8,10 +8,11 @@ F_l .. F_{l+k-1} with l + k - 1 < i.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import NamedTuple, Sequence, Union
 
-from .text import Text
+from .text import BYTE_ALPHABET, Text
 
 
 class Char(NamedTuple):
@@ -127,15 +128,21 @@ class Factorization:
 
 
 def decode(fact: Factorization) -> Text:
-    """Expand a factorization back into its text, left to right."""
-    out: list[int] = []
-    for i, f in enumerate(fact.factors, start=1):
-        if isinstance(f, Char):
-            out.append(f.symbol)
-        else:
-            lo = fact.src_l(i) - 1
-            hi = fact.src_r(i)
-            out.extend(out[lo:hi])
+    """Expand a factorization back into its text, left to right.
+
+    Symbols go into the buffer kind that ``Text`` holds, and each copy
+    factor is one slice copy of the output so far.
+    """
+    out = bytearray() if fact.alphabet_size <= BYTE_ALPHABET else array("I")
+    bounds = fact.bounds
+    try:
+        for f in fact.factors:
+            if isinstance(f, Char):
+                out.append(f.symbol)
+            else:
+                out += out[bounds[f.start - 1] - 1:bounds[f.start + f.count - 1] - 1]
+    except OverflowError as ex:
+        raise ValueError(f"char symbol out of range for alphabet {fact.alphabet_size}") from ex
     return Text(out, fact.alphabet_size)
 
 
@@ -213,11 +220,11 @@ def compute_extended_factors(fact: Factorization, text: Text | None = None) -> l
     z = fact.z
     for i in range(1, z + 1):
         lo = fact.pos_l(i) - 1
-        fi = syms[lo:fact.pos_r(i)]
+        fi = tuple(syms[lo:fact.pos_r(i)])
         if fi in seen:
             if i == z:
                 continue  # last factor's doubled form would need F_{z+1}
-            ei = syms[lo:fact.pos_r(i + 1)]
+            ei = tuple(syms[lo:fact.pos_r(i + 1)])
         else:
             ei = fi
         result.append((i, len(ei)))
@@ -230,5 +237,5 @@ def extended_factor_strings(fact: Factorization, text: Text | None = None) -> li
     if text is None:
         text = decode(fact)
     syms = text.symbols
-    return [syms[fact.pos_l(i) - 1: fact.pos_l(i) - 1 + length]
+    return [tuple(syms[fact.pos_l(i) - 1: fact.pos_l(i) - 1 + length])
             for i, length in compute_extended_factors(fact, text)]

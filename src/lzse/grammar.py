@@ -509,67 +509,3 @@ def _last_symbol_is_delimiter(slp: Slp, is_delimiter: Callable[[int], bool]) -> 
         if len(rhs) == 1:
             return is_delimiter(rhs[0])
         x = rhs[1]
-
-
-# -- grammar interchange format ----------------------------------------------
-
-def format_grammar(g: Cfg) -> str:
-    """Line-oriented text form, start rule first: ``R1 -> R2 'a' 98``.
-
-    Printable symbols other than the space are quoted; every other symbol,
-    the space (32) included, is written as its number so that the
-    whitespace split in :func:`parse_grammar` sees one item per symbol.
-    """
-    names: dict[int, str] = {}
-    counter = 0
-    for x in [g.start] + [x for x in g.rules if x != g.start]:
-        names[x] = f"R{counter}"
-        counter += 1
-
-    def fmt(sym: int) -> str:
-        if sym in names:
-            return names[sym]
-        if 32 < sym < 127:
-            return f"'{chr(sym)}'"
-        return str(sym)
-
-    lines = [f"{names[x]} -> {' '.join(fmt(s) for s in g.rules[x])}"
-             for x in names]
-    return "\n".join(lines) + "\n"
-
-
-def parse_grammar(src: str) -> Cfg:
-    """Inverse of :func:`format_grammar`; rule ids are reassigned densely."""
-    rows: list[tuple[str, list[str]]] = []
-    for lineno, line in enumerate(src.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" not in line:
-            raise GrammarError(f"line {lineno}: missing '->'")
-        lhs, rhs = line.split("->", 1)
-        rows.append((lhs.strip(), rhs.split()))
-    if not rows:
-        raise GrammarError("no rules in grammar text")
-    terminals: set[int] = set()
-    for _, items in rows:
-        for item in items:
-            if item.startswith("'") and item.endswith("'") and len(item) == 3:
-                terminals.add(ord(item[1]))
-            elif not item.startswith("R"):
-                terminals.add(int(item))
-    base = max(terminals) + 1 if terminals else 0
-    ids = {name: base + t for t, (name, _) in enumerate(rows)}
-
-    def parse_sym(item: str) -> int:
-        if item.startswith("'") and item.endswith("'") and len(item) == 3:
-            return ord(item[1])
-        if item.startswith("R"):
-            if item not in ids:
-                raise GrammarError(f"unknown nonterminal {item}")
-            return ids[item]
-        return int(item)
-
-    rules = {ids[name]: tuple(parse_sym(i) for i in items)
-             for name, items in rows}
-    return Cfg(rules, ids[rows[0][0]])

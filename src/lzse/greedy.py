@@ -18,7 +18,6 @@ costs one dict lookup and one compare per edge rather than per symbol.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 
 from .factorization import Char, Copy, Factorization
@@ -39,10 +38,9 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
         return Factorization([], 0, text.alphabet_size)
     syms = text.symbols
     if text.is_byte_mode:
-        buf, w = bytes(syms), 1
+        buf, w = syms, 1
     else:
-        tokens = array("I", syms)
-        buf, w = tokens.tobytes(), tokens.itemsize
+        buf, w = syms.tobytes(), syms.itemsize
 
     def common_prefix(a: int, b: int, cap: int) -> int:
         """Symbols shared by the texts at 0-based a and b, at most cap.

@@ -1,4 +1,4 @@
-"""Suffix array, inverse suffix array and LCP array.
+"""Suffix array and LCP array.
 
 Positions stored in ``sa`` are 1-based, matching the factorization
 position model; ranks are 0-based.  The LZ77/LZSS baselines scan ``sa`` and
@@ -62,20 +62,18 @@ class RangeArgMin:
 
 
 class SuffixIndex:
-    """Suffix array over a text with its inverse and LCP array.
+    """Suffix array over a text with its LCP array.
 
-    sa[i] is the 1-based start of the rank-i suffix; isa[p-1] is the rank of
-    the suffix starting at position p; lcp[i] is the common prefix length of
-    the suffixes of ranks i-1 and i (lcp[0] = 0).
+    sa[i] is the 1-based start of the rank-i suffix; lcp[i] is the common
+    prefix length of the suffixes of ranks i-1 and i (lcp[0] = 0).
     """
 
-    __slots__ = ("text", "n", "sa", "isa", "lcp")
+    __slots__ = ("text", "n", "sa", "lcp")
 
-    def __init__(self, text: Text, sa, isa, lcp):
+    def __init__(self, text: Text, sa, lcp):
         self.text = text
         self.n = len(text)
         self.sa = sa
-        self.isa = isa
         self.lcp = lcp
 
 
@@ -96,10 +94,10 @@ def _pack_keys(text: Text) -> tuple[np.ndarray, int, int]:
     import numpy as np
     n = len(text)
     if text.is_byte_mode:
-        digits = np.frombuffer(bytes(text.symbols), dtype=np.uint8).astype(np.int64)
+        digits = np.frombuffer(text.symbols, dtype=np.uint8).astype(np.int64)
         base = 257
     else:
-        _, digits = np.unique(np.asarray(text.symbols, dtype=np.int64),
+        _, digits = np.unique(np.frombuffer(text.symbols, dtype=np.uint32),
                               return_inverse=True)
         base = int(digits.max()) + 2
     digits += 1
@@ -131,15 +129,15 @@ def _group_ends(sorted_keys: np.ndarray, slots: np.ndarray):
 
 
 def _prefix_doubling(key: np.ndarray, width: int):
-    """0-based SA, ISA and the rank levels of each doubling round.
+    """0-based SA and the rank levels of each doubling round.
 
     Ranks are Larsson-Sadakane group ends.  Each round re-sorts only the
     suffixes of groups with more than one member, by the single key
     rank[i]*(n+2) + rank[i+h]+1, and computes every key before any rank
     changes.  So level k (int32, with level[n] = -1 for the empty suffix)
     has level[i] == level[j], i != j, exactly when suffixes i and j share
-    their first width*2**k symbols.  The final ranks, all distinct, are the
-    ISA and are not kept as a level.
+    their first width*2**k symbols.  The final ranks, all distinct, are
+    not kept as a level.
     """
     import numpy as np
     n = len(key) - 1
@@ -171,7 +169,7 @@ def _prefix_doubling(key: np.ndarray, width: int):
         active = active[shared]
         active_rank = ends[shared]
         h *= 2
-    return sa, rank[:n], levels
+    return sa, levels
 
 
 def _adjacent_lcp(sa: np.ndarray, key: np.ndarray, base: int, width: int,
@@ -208,15 +206,15 @@ def _adjacent_lcp(sa: np.ndarray, key: np.ndarray, base: int, width: int,
 
 
 def _suffix_arrays(text: Text):
-    """0-based SA, ISA and LCP as numpy arrays; every temporary dies here."""
+    """0-based SA and LCP as numpy arrays; every temporary dies here."""
     key, base, width = _pack_keys(text)
-    sa, isa, levels = _prefix_doubling(key, width)
-    return sa, isa, _adjacent_lcp(sa, key, base, width, levels)
+    sa, levels = _prefix_doubling(key, width)
+    return sa, _adjacent_lcp(sa, key, base, width, levels)
 
 
 def build_suffix_index(text: Text) -> SuffixIndex:
-    """Build the suffix array, its inverse and the LCP array."""
+    """Build the suffix array and the LCP array."""
     if len(text) == 0:
-        return SuffixIndex(text, [], [], [])
-    sa, isa, lcp = _suffix_arrays(text)
-    return SuffixIndex(text, (sa + 1).tolist(), isa.tolist(), lcp.tolist())
+        return SuffixIndex(text, [], [])
+    sa, lcp = _suffix_arrays(text)
+    return SuffixIndex(text, (sa + 1).tolist(), lcp.tolist())

@@ -2,31 +2,45 @@
 
 from __future__ import annotations
 
+from array import array
+
 BYTE_ALPHABET = 256
 TOKEN_ALPHABET = 1 << 32
 
 
 def alphabet_for(symbols) -> int:
     """The byte alphabet when every symbol fits in a byte, else the token one."""
-    return BYTE_ALPHABET if all(s < BYTE_ALPHABET for s in symbols) else TOKEN_ALPHABET
+    return BYTE_ALPHABET if max(symbols, default=0) < BYTE_ALPHABET else TOKEN_ALPHABET
 
 
 class Text:
     """Immutable sequence of non-negative integer symbols.
 
-    Byte mode uses symbols 0..255; token mode allows 32-bit symbols for
-    large alphabets.  Sequence indexing is the usual 0-based Python kind;
-    the 1-based positions used by factorization APIs are documented at
-    their call sites.
+    Byte mode uses symbols 0..255 and holds them as ``bytes``; token mode
+    allows 32-bit symbols and holds them as ``array('I')``.  Either buffer
+    bounds its symbols, and both index and iterate to ints; the token
+    buffer must not be mutated.  Sequence indexing is the usual 0-based
+    Python kind; the 1-based positions used by factorization APIs are
+    documented at their call sites.
     """
 
     __slots__ = ("symbols", "alphabet_size")
 
     def __init__(self, symbols, alphabet_size: int = BYTE_ALPHABET):
-        syms = tuple(symbols)
-        for s in syms:
-            if not 0 <= s < alphabet_size:
-                raise ValueError(f"symbol {s} out of range for alphabet {alphabet_size}")
+        # iter() reads any other buffer (bytes in token mode, an array in
+        # byte mode) symbol by symbol rather than as raw machine words
+        try:
+            if alphabet_size <= BYTE_ALPHABET:
+                syms = bytes(symbols if isinstance(symbols, (bytes, bytearray))
+                             else iter(symbols))
+            else:
+                syms = array("I", symbols if isinstance(symbols, array) else iter(symbols))
+        except OverflowError as ex:
+            raise ValueError(f"symbol out of range for alphabet {alphabet_size}") from ex
+        if alphabet_size not in (BYTE_ALPHABET, TOKEN_ALPHABET) and syms:
+            top = max(syms)
+            if top >= alphabet_size:
+                raise ValueError(f"symbol {top} out of range for alphabet {alphabet_size}")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "alphabet_size", alphabet_size)
 
@@ -48,7 +62,7 @@ class Text:
     def to_bytes(self) -> bytes:
         if self.alphabet_size > BYTE_ALPHABET:
             raise ValueError("token-mode text cannot be rendered as bytes")
-        return bytes(self.symbols)
+        return self.symbols
 
     def to_str(self) -> str:
         return self.to_bytes().decode("latin-1")
@@ -67,10 +81,16 @@ class Text:
         return iter(self.symbols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Text) and self.symbols == other.symbols
+        if not isinstance(other, Text):
+            return False
+        a, b = self.symbols, other.symbols
+        if type(a) is not type(b):
+            # a memoryview compares symbol values across item sizes
+            a, b = memoryview(a), memoryview(b)
+        return a == b
 
     def __hash__(self) -> int:
-        return hash(self.symbols)
+        return hash(tuple(self.symbols))
 
     def __repr__(self) -> str:
         if self.is_byte_mode and len(self) <= 40:

@@ -41,7 +41,7 @@ def brute_lcp(text: Text, p: int, q: int) -> int:
 def _lexsort_suffixes(symbols) -> np.ndarray:
     """0-based suffix array by prefix doubling over two-key numpy lexsort."""
     n = len(symbols)
-    rank = np.asarray(symbols, dtype=np.int64)
+    rank = np.fromiter(symbols, dtype=np.int64, count=n)
     k = 1
     while True:
         # pad with -1 so shorter suffixes sort first
@@ -95,9 +95,18 @@ def suffix_index_reference(text: Text) -> tuple[list[int], list[int], list[int]]
     return [int(p) + 1 for p in sa0], isa0, lcp
 
 
-# (index, its RangeArgMin over lcp): the last index queried.  Holding the
-# index keeps the identity test sound; the references query one at a time.
-_lcp_minima: list = [None, None]
+def suffix_ranks(idx: SuffixIndex) -> list[int]:
+    """ranks[p-1] is the rank of the suffix at 1-based p: sa inverted."""
+    ranks = [0] * idx.n
+    for r, p in enumerate(idx.sa):
+        ranks[p - 1] = r
+    return ranks
+
+
+# (index, its RangeArgMin over lcp, its suffix ranks): the last index
+# queried.  Holding the index keeps the identity test sound; the references
+# query one at a time.
+_lcp_minima: list = [None, None, None]
 
 
 def lcp_suffixes(idx: SuffixIndex, p: int, q: int) -> int:
@@ -109,9 +118,9 @@ def lcp_suffixes(idx: SuffixIndex, p: int, q: int) -> int:
     if p == q:
         return n - p + 1
     if _lcp_minima[0] is not idx:
-        _lcp_minima[:] = [idx, RangeArgMin(idx.lcp)]
-    rp = idx.isa[p - 1]
-    rq = idx.isa[q - 1]
+        _lcp_minima[:] = [idx, RangeArgMin(idx.lcp), suffix_ranks(idx)]
+    rp = _lcp_minima[2][p - 1]
+    rq = _lcp_minima[2][q - 1]
     if rp > rq:
         rp, rq = rq, rp
     return _lcp_minima[1].min(rp + 1, rq)
@@ -228,7 +237,7 @@ def repair_compress_reference(text: Text) -> Cfg:
     # Work on dense labels: terminals 0..k-1 in symbol order, then one label
     # per rule from k.  Labels stay below 2n < 2^31, so a pair packs into one
     # int64 key; the relabelling is monotone, so every choice is unchanged.
-    terminals, inverse = np.unique(np.asarray(text.symbols, dtype=np.int64),
+    terminals, inverse = np.unique(np.fromiter(text.symbols, dtype=np.int64, count=n),
                                    return_inverse=True)
     k = len(terminals)
     seq = inverse.astype(np.int64, copy=False)
@@ -306,15 +315,16 @@ class _Lpf:
     order are the LCP-maximizing earlier occurrences; ties between the two
     candidates go to the smaller source position."""
 
-    __slots__ = ("idx", "psv", "nsv")
+    __slots__ = ("idx", "ranks", "psv", "nsv")
 
     def __init__(self, idx: SuffixIndex):
         self.idx = idx
+        self.ranks = suffix_ranks(idx)
         self.psv, self.nsv = _smaller_neighbors(idx.sa)
 
     def longest_previous(self, i: int) -> tuple[int, int]:
         idx = self.idx
-        r = idx.isa[i - 1]
+        r = self.ranks[i - 1]
         best_src, best_len = 0, 0
         j = self.psv[r]
         if j >= 0:

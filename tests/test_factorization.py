@@ -3,7 +3,7 @@ import pytest
 from lzse.factorization import (Char, Copy, Factorization, FactorizationError,
                                 access_naive, compute_extended_factors, decode,
                                 extended_factor_strings, jump, validate)
-from lzse.text import Text
+from lzse.text import TOKEN_ALPHABET, Text
 
 FIG_FACTORS = [Char(97), Char(98), Copy(1, 2), Copy(2, 2), Copy(1, 3)]
 FIG_TEXT = Text.from_str("ababbababab")
@@ -113,6 +113,39 @@ def test_extended_factors_last_duplicate_excluded():
     # a|b|a(copy): the final factor repeats an earlier extended factor
     fact = Factorization([Char(97), Char(98), Copy(1, 1)])
     assert compute_extended_factors(fact) == [(1, 1), (2, 1)]
+
+
+def test_text_modes_compare_and_hash_equal():
+    as_bytes = Text.from_bytes(b"abc")
+    as_tokens = Text.from_tokens([97, 98, 99])
+    assert as_bytes == as_tokens and as_tokens == as_bytes
+    assert hash(as_bytes) == hash(as_tokens)
+    assert as_bytes != Text.from_tokens([97, 98, 100])
+    assert as_bytes != Text.from_tokens([97, 98])
+    assert list(as_tokens) == list(as_bytes) == [97, 98, 99]
+    assert as_tokens[2] == as_bytes[2] == 99
+
+
+def test_text_from_tokens_takes_symbols_not_machine_words():
+    t = Text.from_tokens(b"ab")
+    assert tuple(t.symbols) == (97, 98) and len(t) == 2
+
+
+@pytest.mark.parametrize("symbols,alphabet", [
+    ([5], 5), ([256], 256), ([-1], 256),
+    ([-1], TOKEN_ALPHABET), ([1 << 32], TOKEN_ALPHABET), ([7, 300], 300),
+])
+def test_text_rejects_out_of_range_with_value_error(symbols, alphabet):
+    # the CLI maps ValueError to exit code 2; OverflowError would escape it
+    with pytest.raises(ValueError):
+        Text(symbols, alphabet)
+
+
+def test_decode_rejects_out_of_range_char_with_value_error():
+    with pytest.raises(ValueError):
+        decode(Factorization([Char(1 << 32), Copy(1, 1)], alphabet_size=TOKEN_ALPHABET))
+    with pytest.raises(ValueError):
+        decode(Factorization([Char(97), Char(256)]))
 
 
 def test_rel_and_factor_at():

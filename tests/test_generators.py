@@ -11,14 +11,14 @@ from lzse.text import Text
 
 def test_orsp_template_small():
     inst = gen_orsp(2, [(1, 2), (2, 2)])
-    assert inst.text.symbols == (0, 1, 2, 0, 1, 3, 1, 4)
+    assert tuple(inst.text.symbols) == (0, 1, 2, 0, 1, 3, 1, 4)
     assert len(inst.text) == 8
     assert inst.text.alphabet_size == 5
 
 
 def test_orsp_minimal():
     inst = gen_orsp(1, [(1, 1)])
-    assert inst.text.symbols == (0, 1, 0, 2)
+    assert tuple(inst.text.symbols) == (0, 1, 0, 2)
 
 
 def test_orsp_seeded_greedy_count():

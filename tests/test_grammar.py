@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lzse.factorization import decode, validate
 from lzse.grammar import (Cfg, GrammarError, Slp, cfg_to_slp, expand,
-                          format_grammar, grammar_to_lzse, orsp_solve_from_slp,
-                          parse_grammar, repair_compress)
+                          grammar_to_lzse, orsp_solve_from_slp, repair_compress)
 from lzse.generators import gen_orsp, gen_periodic
 from lzse.text import Text
 
@@ -231,26 +230,6 @@ def test_repair_matches_reference_long_runs(runs):
 def test_repair_rejects_empty():
     with pytest.raises(GrammarError):
         repair_compress(Text.from_str(""))
-
-
-def test_format_parse_roundtrip():
-    g = Cfg({S: (A, B, B, B), A: (97, 98), B: (0, 97, 98)}, S)
-    txt = format_grammar(g)
-    assert txt.splitlines()[0].startswith("R0 ->")  # start rule first
-    g2 = parse_grammar(txt)
-    assert expand(g2) == expand(g)
-    with pytest.raises(GrammarError):
-        parse_grammar("R0 -> R9\n")
-    with pytest.raises(GrammarError):
-        parse_grammar("no arrow here\n")
-
-
-def test_format_parse_roundtrip_all_byte_symbols():
-    g = Cfg({S: (A, B, 32), A: tuple(range(128)), B: tuple(range(128, 256))}, S)
-    txt = format_grammar(g)
-    items = txt.split()
-    assert items.count("32") == 2 and "'" not in items
-    assert expand(parse_grammar(txt)) == expand(g)
 
 
 def direct_answers(inst, op, lift):

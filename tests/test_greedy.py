@@ -71,8 +71,11 @@ def test_extended_factor_multiset_matches_parser_state():
     # recomputing extended factors from the finished parse must match the
     # definition applied prefix by prefix
     rng = random.Random(31)
-    for _ in range(60):
+    for k in range(60):
         t = random_text(rng, rng.randint(1, 200), 2)
+        if k % 2:
+            # token mode, with symbols that need all four bytes
+            t = Text.from_tokens(0xFFFF0000 | s << 8 | k for s in t)
         f = greedy_factorize(t)
         strings = extended_factor_strings(f, t)
         # at most two occurrences of any string, never non-consecutive dups
