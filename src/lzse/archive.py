@@ -7,6 +7,11 @@ its symbol (one byte in byte mode, varint in token mode); v >= 1 is a copy
 factor with k = v referenced factors, followed by varint d = i - l >= 1,
 the back-distance from the factor's own index to its start factor.
 Varints are unsigned LEB128.
+
+``deserialize`` reads one-byte counts and back-distances of up to two bytes
+inline, the common record shapes, and calls ``read_varint`` for every other
+varint and for any field that runs off the end, so every error keeps the
+message and offset that ``read_varint`` gives.
 """
 
 from __future__ import annotations
@@ -96,27 +101,43 @@ def deserialize(data: bytes) -> Factorization:
     pos = 6
     n, pos = read_varint(data, pos)
     z, pos = read_varint(data, pos)
+    # two continuation bytes past the end send a field that runs off the
+    # archive to read_varint, which raises its "truncated varint"
+    buf = bytes(data) + b"\x80\x80"
+    new = tuple.__new__  # Char/Copy without the NamedTuple constructor
     factors: list[Char | Copy] = []
+    append = factors.append
     for i in range(1, z + 1):
         record_at = pos
-        v, pos = read_varint(data, pos)
-        if v == 0:
+        v = buf[pos]
+        if v < 0x80:
+            pos += 1
+        else:
+            v, pos = read_varint(data, pos)
+        if v:
+            d = buf[pos]
+            if d < 0x80:
+                pos += 1
+            elif buf[pos + 1] < 0x80:
+                d = (d & 0x7F) | buf[pos + 1] << 7
+                pos += 2
+            else:
+                d, pos = read_varint(data, pos)
+            if d < 1 or d >= i:
+                raise ArchiveError(f"factor {i}: bad back-distance {d}", record_at)
+            append(new(Copy, (i - d, v)))
+        else:
             if mode == MODE_BYTE:
                 if pos >= len(data):
                     raise ArchiveError(f"factor {i}: truncated symbol", pos)
-                sym = data[pos]
+                sym = buf[pos]
                 pos += 1
             else:
                 sym, pos = read_varint(data, pos)
                 if sym >= TOKEN_ALPHABET:
                     raise ArchiveError(f"factor {i}: symbol {sym} exceeds 32 bits",
                                        record_at)
-            factors.append(Char(sym))
-        else:
-            d, pos = read_varint(data, pos)
-            if d < 1 or d >= i:
-                raise ArchiveError(f"factor {i}: bad back-distance {d}", record_at)
-            factors.append(Copy(i - d, v))
+            append(new(Char, (sym,)))
     if pos != len(data):
         raise ArchiveError(f"{len(data) - pos} trailing bytes", pos)
     alphabet = BYTE_ALPHABET if mode == MODE_BYTE else TOKEN_ALPHABET

@@ -6,8 +6,9 @@ boundary span, so each child subtree spans at most half of its parent.
 Node ids equal interval indices, so the tree is a BST over those ids and
 the LCA of nodes u <= v is the first node on the root path whose id lies
 in [u, v].  Searching costs O(log(span(start)/span(found))) node visits;
-precomputed hints (three LCA nodes per query range, each found by that
-root-path descent) let a search start below the root.
+precomputed hints (three LCA nodes per query range: the range's own, found
+by that root-path descent, and one per side of it, found by descending from
+its children) let a search start below the root.
 """
 
 from __future__ import annotations
@@ -94,8 +95,18 @@ class Ibst:
         if not 0 <= i < j <= self.m:
             raise ValueError(f"bad boundary range ({i}, {j})")
         c = self.lca(i, j - 1)
-        vl = self.lca(i, c - 1) if c > i else None
-        vr = self.lca(c + 1, j - 1) if c < j - 1 else None
+        # ids i..c-1 all lie in c's left subtree, whose ids are all below c,
+        # so lca(i, c-1) is the first node from left[c] with id >= i; the
+        # right side mirrors it
+        vl = vr = None
+        if c > i:
+            vl = self.left[c]
+            while vl < i:
+                vl = self.right[vl]
+        if c < j - 1:
+            vr = self.right[c]
+            while vr > j - 1:
+                vr = self.left[vr]
         return Hint(i, j, c, vl, vr)
 
     def precompute_hints(self, ranges) -> list[Hint]:

@@ -6,7 +6,8 @@ counting by exhaustive enumeration, heavy edges by scanning each copy's
 source, Re-Pair by full numpy rescans of the sequence in every round,
 LZ77/LZSS by two nearest-smaller-position passes plus range-minimum LCP
 queries, greedy LZSE from a per-symbol trie plus the same LCP queries,
-and random-but-valid factorizations built factor by factor.
+IBST hints from three root-path LCA descents, and random-but-valid
+factorizations built factor by factor.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from lzse.baselines import Lz77Factor, LzssFactor
 from lzse.factorization import Char, Copy, Factorization
 from lzse.grammar import Cfg, GrammarError
+from lzse.ibst import Hint, Ibst
 from lzse.suffixindex import RangeArgMin, SuffixIndex, build_suffix_index
 from lzse.text import Text
 
@@ -179,6 +181,14 @@ def heavy_edges_by_range_argmax(fact: Factorization, s: list[int],
                     and e[i].bit_length() == e[j - 1].bit_length()):
                 heavy[i] = j
     return heavy
+
+
+def hint_for_reference(t: Ibst, i: int, j: int) -> Hint:
+    """IBST hint for boundary range [a_i, a_j) with every LCA found from the root."""
+    c = t.lca(i, j - 1)
+    vl = t.lca(i, c - 1) if c > i else None
+    vr = t.lca(c + 1, j - 1) if c < j - 1 else None
+    return Hint(i, j, c, vl, vr)
 
 
 def random_valid_factorization(rng: random.Random, max_z: int = 60,

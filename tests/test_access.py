@@ -10,7 +10,7 @@ from lzse.grammar import grammar_to_lzse, repair_compress
 from lzse.greedy import greedy_factorize
 from lzse.text import Text
 
-from helpers import random_text, random_valid_factorization
+from helpers import block_repetitive, random_text, random_valid_factorization
 
 ABAB = Factorization([Char(97), Char(98), Copy(1, 2), Copy(3, 1)])
 FIG = Factorization([Char(97), Char(98), Copy(1, 2), Copy(2, 2), Copy(1, 3)])
@@ -268,3 +268,46 @@ def test_handcrafted_factorizations():
 def test_unary_deep_chain():
     fact = greedy_factorize(Text.from_str("a" * 4096))
     check_everywhere(fact)
+
+
+def _hint_families():
+    yield "block", greedy_factorize(block_repetitive(12, 1 << 16))
+    rng = random.Random(12)
+    for _ in range(20):
+        t = random_text(rng, rng.randint(1, 2000), rng.choice([2, 4, 26]))
+        yield "greedy", greedy_factorize(t)
+    for _ in range(10):
+        t = random_text(rng, rng.randint(4, 1500), rng.choice([2, 4]))
+        yield "repair", grammar_to_lzse(repair_compress(t))
+
+
+# (IBST nodes, hints) summed per family, as the index built them when every
+# copy factor computed its own hint
+FOOTPRINTS = {"block": (4164, 3909), "greedy": (9110, 8981), "repair": (1858, 1492)}
+
+
+def test_source_hints_shared_per_range():
+    totals = {}
+    for family, fact in _hint_families():
+        ix = build_access_index(fact)
+        g = ix.global_ibst
+        by_range = {}
+        for i, f in enumerate(fact.factors, start=1):
+            hint = ix.src_hints[i]
+            if not isinstance(f, Copy):
+                assert hint is None
+                continue
+            assert hint == g.hint_for(f.start - 1, f.start + f.count - 1)
+            assert by_range.setdefault((hint.i, hint.j), hint) is hint
+        # a path exit that lands in a copy factor's source range shares its hint
+        for skip in ix.path_skips:
+            if skip is None:
+                continue
+            for _, _, hint in skip.exits:
+                if hint is not None:
+                    assert hint == g.hint_for(hint.i, hint.j)
+                    assert by_range.setdefault((hint.i, hint.j), hint) is hint
+        nodes, hints = ix.footprint()
+        a, b = totals.get(family, (0, 0))
+        totals[family] = (a + nodes, b + hints)
+    assert totals == FOOTPRINTS

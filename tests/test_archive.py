@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lzse import archive
 from lzse.access import build_access_index
 from lzse.archive import (ArchiveError, deserialize, read_token_text,
                           read_varint, serialize, write_token_text, write_varint)
@@ -92,6 +93,114 @@ def test_random_roundtrips():
         assert restored.factors == fact.factors
         assert restored.n == fact.n
         assert decode(restored) == decode(fact)
+
+
+# the record reader decodes one-byte counts and back-distances of up to two
+# bytes inline and hands everything else to read_varint; these values sit on
+# both sides of every length step up to the 64-bit limit
+FIELD_VALUES = [0, 1, 127, 128, 16383, 16384, 1 << 21, (1 << 63) - 1]
+PREFIX = 16385  # char records before the one under test: d = 16384 is in range
+
+
+def _build(token: bool, items) -> tuple[bytes, list[tuple[int, int]]]:
+    """Archive of header, then ``items`` (int: varint, bytes: raw), and the
+    (start, end) byte span of every varint in it."""
+    out = bytearray(b"LZSE")
+    out += bytes([1, int(token)])
+    spans = []
+    for item in items:
+        if isinstance(item, bytes):
+            out += item
+        else:
+            start = len(out)
+            write_varint(out, item)
+            spans.append((start, len(out)))
+    return bytes(out), spans
+
+
+def _chars(token: bool, count: int) -> tuple[list, list[Char]]:
+    """Archive items of ``count`` char records, and their factors."""
+    items, chars = [], []
+    for k in range(count):
+        sym = (k * 2654435761) % TOKEN_ALPHABET if token else k % 256
+        items += [0, sym if token else bytes([sym])]
+        chars.append(Char(sym))
+    return items, chars
+
+
+@pytest.mark.parametrize("token", [False, True], ids=["byte", "token"])
+def test_record_fields_roundtrip(token, monkeypatch):
+    items, chars = _chars(token, PREFIX)
+    i = PREFIX + 1
+    alphabet = TOKEN_ALPHABET if token else 256
+
+    def check_roundtrip(blob, factors):
+        fact = Factorization(chars + factors, alphabet_size=alphabet)
+        assert deserialize(blob) == fact and serialize(fact) == blob
+
+    for v in FIELD_VALUES:
+        # count field: Copy(1, v) at back-distance PREFIX; v = 0 is a char
+        if v == 0:
+            extra, last = _chars(token, 1)
+            check_roundtrip(_build(token, [i, i] + items + extra)[0], last)
+        elif v <= PREFIX:
+            blob = _build(token, [PREFIX + v, i] + items + [v, PREFIX])[0]
+            check_roundtrip(blob, [Copy(1, v)])
+        # larger counts are forward references: compare the records as they
+        # leave the reader, before the structural check
+        if v:
+            with monkeypatch.context() as m:
+                m.setattr(archive, "Factorization",
+                          lambda factors, n, alphabet_size: factors)
+                blob = _build(token, [0, i] + items + [v, PREFIX])[0]
+                assert deserialize(blob)[-1] == Copy(1, v)
+
+        # back-distance field: Copy(i - v, 1)
+        blob, spans = _build(token, [PREFIX + 1, i] + items + [1, v])
+        if 1 <= v < i:
+            check_roundtrip(blob, [Copy(i - v, 1)])
+        else:
+            record_at = spans[-2][0]
+            with pytest.raises(ArchiveError) as err:
+                deserialize(blob)
+            assert str(err.value) == (f"factor {i}: bad back-distance {v} "
+                                      f"(at byte {record_at})")
+            assert err.value.offset == record_at
+
+
+def _error(read, data: bytes, *args) -> tuple[str, int]:
+    with pytest.raises(ArchiveError) as err:
+        read(data, *args)
+    return str(err.value), err.value.offset
+
+
+@pytest.mark.parametrize("token", [False, True], ids=["byte", "token"])
+def test_record_truncation_matches_read_varint(token):
+    head, _ = _chars(token, 2)
+    cuts = 0
+    for v in FIELD_VALUES:
+        for count, d in ((v, 1), (1, v), (v, v), (200, 16383)):
+            blob, spans = _build(token, [1 << 40, 3] + head + [count, d])
+            # every multi-byte varint: n, z, token symbols, count and
+            # back-distance, cut before each of its bytes
+            for start, end in spans:
+                if end - start < 2:
+                    continue
+                for cut in range(start, end):
+                    assert (_error(deserialize, blob[:cut])
+                            == _error(read_varint, blob[:cut], start))
+                    cuts += 1
+    assert cuts > 200
+
+
+def test_noncanonical_back_distance_rejected():
+    # 0x80 0x00 and 0x80 0x80 0x00 both spell zero
+    for zero in (b"\x80\x00", b"\x80\x80\x00"):
+        blob = _build(False, [2, 2, 0, b"a", 1, zero])[0]
+        with pytest.raises(ArchiveError) as err:
+            deserialize(blob)
+        assert str(err.value) == "factor 2: bad back-distance 0 (at byte 10)"
+        assert err.value.offset == 10
 
 
 def test_token_text_file_roundtrip():

@@ -5,6 +5,8 @@ import pytest
 
 from lzse.ibst import Ibst
 
+from helpers import hint_for_reference
+
 
 def test_construction_example():
     t = Ibst([1, 2, 3, 5, 8, 12])
@@ -116,6 +118,20 @@ def test_random_equivalence_halving_and_bounds():
                 assert bs[x] <= q < bs[x + 1]
                 ratio = (bs[h.j] - bs[h.i]) / (bs[x + 1] - bs[x])
                 assert visits <= math.log2(ratio) + 3
+
+
+def test_hint_descents_match_root_descents():
+    # hint_for finds the side LCAs from the center's children; the reference
+    # finds all three from the root.  Every boundary range of every tree.
+    rng = random.Random(2)
+    ranges = 0
+    for _ in range(250):
+        t = random_tree(rng, 128)
+        for i in range(t.m):
+            for j in range(i + 1, t.m + 1):
+                assert t.hint_for(i, j) == hint_for_reference(t, i, j)
+                ranges += 1
+    assert ranges > 100_000
 
 
 def test_lca_sanity():
