@@ -100,6 +100,9 @@ def _cmd_extract(args) -> int:
 def _cmd_stats(args) -> int:
     text = _read_text(args.input)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        print(f"no method given; choose from {', '.join(METHODS)}", file=sys.stderr)
+        return 1
     for m in methods:
         if m not in METHODS:
             print(f"unknown method {m!r}; choose from {', '.join(METHODS)}",

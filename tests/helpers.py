@@ -5,9 +5,9 @@ suffix sorting by direct string comparison, LCP by character scan, path
 counting by exhaustive enumeration, heavy edges by scanning each copy's
 source, Re-Pair by full numpy rescans of the sequence in every round,
 LZ77/LZSS by two nearest-smaller-position passes plus range-minimum LCP
-queries, greedy LZSE from a per-symbol trie plus the same LCP queries,
-IBST hints from three root-path LCA descents, and random-but-valid
-factorizations built factor by factor.
+queries and decoded symbol by symbol, greedy LZSE from a per-symbol trie
+plus the same LCP queries, IBST hints from three root-path LCA descents,
+and random-but-valid factorizations built factor by factor.
 """
 
 from __future__ import annotations
@@ -392,6 +392,28 @@ def lzss_factorize_reference(text: Text,
             out.append(LzssFactor(src, length, -1))
             i += length
     return out
+
+
+def lz77_decode(factors: list[Lz77Factor], alphabet_size: int = 256) -> Text:
+    """Text of LZ77 triples, copying symbol by symbol (overlap allowed)."""
+    out: list[int] = []
+    for f in factors:
+        for k in range(f.length):
+            out.append(out[f.src - 1 + k])
+        out.append(f.next_sym)
+    return Text(out, alphabet_size)
+
+
+def lzss_decode(factors: list[LzssFactor], alphabet_size: int = 256) -> Text:
+    """Text of LZSS literals and copies, copying symbol by symbol."""
+    out: list[int] = []
+    for f in factors:
+        if f.length == 0:
+            out.append(f.sym)
+        else:
+            for k in range(f.length):
+                out.append(out[f.src - 1 + k])
+    return Text(out, alphabet_size)
 
 
 def greedy_factorize_reference(text: Text,

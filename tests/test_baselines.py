@@ -1,20 +1,23 @@
+import itertools
+import json
 import math
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzse.baselines import (Lz77Factor, LzssFactor, extract_field_streams,
-                            h0, lz77_decode, lz77_factorize, lzss_decode,
-                            lzss_factorize, size_report)
+from lzse import baselines
+from lzse.baselines import (METHODS, Lz77Factor, LzssFactor, extract_field_streams,
+                            h0, lz77_factorize, lzss_factorize, size_report)
 from lzse.factorization import Char, Factorization
 from lzse.generators import gen_orsp
 from lzse.grammar import repair_compress
 from lzse.greedy import greedy_factorize
 from lzse.text import Text
 
-from helpers import (block_repetitive, lz77_factorize_reference,
-                     lzss_factorize_reference, random_text)
+from helpers import (block_repetitive, lz77_decode, lz77_factorize_reference,
+                     lzss_decode, lzss_factorize_reference, random_text)
 
 
 def brute_longest_previous(syms, i):
@@ -125,6 +128,73 @@ def test_size_report_repair_se_bound():
     rep = size_report(["repair", "repair-se"], t)
     assert rep["repair_se_factors_le_repair_size"]
     assert rep["methods"]["repair-se"]["factors"] <= rep["methods"]["repair"]["grammar_size"]
+
+
+FORK_TEXTS = {
+    "random-sigma3": random_text(random.Random(31), 300, 3),
+    "periodic": Text.from_str("abracadabra" * 20),
+    "tokens": Text.from_tokens([7, (1 << 31) + 5, (1 << 32) - 1, 0] * 30 + [9]),
+    "one-symbol": Text.from_str("a"),
+    "unary": Text.from_str("a" * 400),
+}
+SUBSETS = [list(c) for k in range(1, len(METHODS) + 1)
+           for c in itertools.combinations(METHODS, k)]
+
+
+def counting_fork(monkeypatch) -> list[int]:
+    """Count os.fork calls made by this process (the children inherit it)."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.mark.parametrize("text", FORK_TEXTS.values(), ids=FORK_TEXTS.keys())
+def test_size_report_forked_equals_inline(text, monkeypatch):
+    forks = counting_fork(monkeypatch)
+    forked = [json.dumps(size_report(s, text)) for s in SUBSETS]
+    # inline: the 7 subsets without Re-Pair and the 3 with nothing else
+    assert len(forks) == len(SUBSETS) - 10
+    monkeypatch.delattr(os, "fork")
+    inline = [json.dumps(size_report(s, text)) for s in SUBSETS]
+    assert forked == inline
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_size_report_runs_inline_when_fork_fails(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    text = FORK_TEXTS["periodic"]
+    expected = size_report(METHODS, text)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert size_report(METHODS, text) == expected
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_size_report_repeated_method_once(fork, monkeypatch):
+    text = FORK_TEXTS["periodic"]
+    expected = size_report(["repair", "lzse", "repair-se"], text)
+    forks = counting_fork(monkeypatch)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    parses = []
+    real_greedy = baselines.greedy_factorize
+
+    def greedy(t):
+        parses.append(1)
+        return real_greedy(t)
+
+    monkeypatch.setattr(baselines, "greedy_factorize", greedy)
+    rep = size_report(["repair", "lzse", "repair", "repair-se", "lzse"], text)
+    assert json.dumps(rep) == json.dumps(expected)
+    assert len(parses) == 1 and len(forks) == int(fork)
 
 
 def test_orsp_source_stream_entropy():

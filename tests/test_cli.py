@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzse import archive, cli
+from lzse import archive, baselines, cli
 from lzse.cli import main
 from lzse.factorization import Char, Copy, Factorization
+from lzse.grammar import GrammarError
 from lzse.text import Text
 
 
@@ -79,6 +81,66 @@ def test_stats_json(sample, capsys):
 
 def test_stats_unknown_method(sample, capsys):
     assert main(["stats", str(sample), "--methods", "zpaq"]) == 1
+
+
+def test_stats_no_method(sample, capsys):
+    assert main(["stats", str(sample), "--methods", ","]) == 1
+    assert capsys.readouterr().err.startswith("no method given")
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def child_repair(monkeypatch, effect):
+    """Replace Re-Pair by ``effect``, which must run in a forked child."""
+    parent = os.getpid()
+
+    def repair(text):
+        if os.getpid() == parent:
+            raise AssertionError("Re-Pair ran in the parent process")
+        return effect()
+
+    monkeypatch.setattr(baselines, "repair_compress", repair)
+
+
+def raise_(ex):
+    raise ex
+
+
+@pytest.mark.parametrize("effect, err", [
+    (lambda: raise_(GrammarError("boom")), "error: boom\n"),
+    (lambda: raise_(MemoryError()), "error: MemoryError\n"),
+    (lambda: os._exit(1), "error: the Re-Pair child process ended without a "
+                          "result (exit code 1)\n"),
+], ids=["grammar-error", "memory-error", "child-death"])
+def test_stats_child_failure_exits_2(sample, capsys, monkeypatch, effect, err):
+    child_repair(monkeypatch, effect)
+    assert main(["stats", str(sample), "--json"]) == 2
+    assert capsys.readouterr().err == err
+    assert_no_child()
+
+
+def test_stats_parent_failure_kills_child(sample, capsys, monkeypatch):
+    def exhausted(text):
+        raise MemoryError
+
+    child_repair(monkeypatch, lambda: time.sleep(60))
+    monkeypatch.setattr(baselines, "build_suffix_index", exhausted)
+    t0 = time.monotonic()
+    assert main(["stats", str(sample)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert time.monotonic() - t0 < 30
+    assert_no_child()
+
+
+def test_stats_empty_file_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    assert main(["stats", str(empty), "--json"]) == 2
+    assert capsys.readouterr().err == "error: cannot build a grammar for the empty text\n"
+    assert_no_child()
 
 
 def test_gen_and_token_roundtrip(tmp_path, capsys):
