@@ -13,7 +13,7 @@ import sys
 from . import archive
 from .access import build_access_index
 from .baselines import METHODS, size_report
-from .factorization import decode, validate
+from .factorization import Factorization, decode, validate
 from .grammar import grammar_to_lzse, repair_compress
 from .greedy import greedy_factorize
 from .text import Text
@@ -24,7 +24,7 @@ from . import generators
 # the 16 MiB that `import lzse.cli` takes: 2 bytes per symbol in byte mode,
 # 8 in token mode.  So 2^26 symbols peak near 144 MiB and 530 MiB: 64 times
 # the largest benchmark corpus (1 MiB).  extract holds the same Text and
-# spends one access per symbol.
+# spends one access per symbol; gen, which builds a list first, 9 per symbol.
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 
 
@@ -34,6 +34,11 @@ def _read_text(path: str) -> Text:
     if data[:4] == archive.TOKEN_MAGIC:
         return archive.read_token_text(data)
     return Text.from_bytes(data)
+
+
+def _read_archive(path: str) -> Factorization:
+    with open(path, "rb") as fh:
+        return archive.deserialize(fh.read())
 
 
 def _write_text(path: str, text: Text) -> None:
@@ -56,8 +61,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    with open(args.input, "rb") as fh:
-        fact = archive.deserialize(fh.read())
+    fact = _read_archive(args.input)
     if fact.n > MAX_DECOMPRESS_SYMBOLS:
         raise ValueError(f"archive decodes to {fact.n} symbols, "
                          f"above the limit of {MAX_DECOMPRESS_SYMBOLS}")
@@ -69,8 +73,7 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_access(args) -> int:
-    with open(args.input, "rb") as fh:
-        fact = archive.deserialize(fh.read())
+    fact = _read_archive(args.input)
     ix = build_access_index(fact)
     sym = ix.access(args.position)
     if fact.alphabet_size <= 256 and 32 <= sym < 127:
@@ -81,8 +84,7 @@ def _cmd_access(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    with open(args.input, "rb") as fh:
-        fact = archive.deserialize(fh.read())
+    fact = _read_archive(args.input)
     count = args.right - args.left + 1
     if count > MAX_DECOMPRESS_SYMBOLS:
         raise ValueError(f"extract of {count} symbols is above the limit of "
@@ -122,7 +124,27 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _gen_max_symbols(args) -> int:
+    """Length of the longest text that gen's arguments allow, without building it."""
+    if args.family in ("unary", "random"):
+        return args.n
+    if args.family == "periodic":
+        return len(args.pattern) * args.reps
+    m = max(args.m, 0)
+    if args.family == "orsp":
+        return (m + 1) ** 2  # m variables, m + 1 delimiters, m queries of at most m
+    # lower-bound, exactly: A B holds 2^(m+2) + 1 symbols and its (m - 1)^2
+    # blocks 2^(m+1) + 1 on average.  Past m = 62, 2^(m+2) alone is far above
+    # the limit, so m is capped to keep the shifts small.
+    m = min(m, 62)
+    return (1 << (m + 2)) + (m - 1) ** 2 * ((1 << (m + 1)) + 1) + 1
+
+
 def _cmd_gen(args) -> int:
+    size = _gen_max_symbols(args)
+    if size > MAX_DECOMPRESS_SYMBOLS:
+        raise ValueError(f"gen {args.family} of up to {size} symbols is above the "
+                         f"limit of {MAX_DECOMPRESS_SYMBOLS}")
     if args.family == "unary":
         text = generators.gen_unary(args.n)
     elif args.family == "random":
@@ -130,22 +152,16 @@ def _cmd_gen(args) -> int:
     elif args.family == "periodic":
         text = generators.gen_periodic(args.pattern, args.reps)
     elif args.family == "orsp":
-        inst = generators.gen_orsp(args.m, seed=args.seed)
-        text = inst.text
-    elif args.family == "lower-bound":
-        fam = generators.gen_lower_bound_family(args.m)
-        text = fam.text
-    else:
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return 1
+        text = generators.gen_orsp(args.m, seed=args.seed).text
+    else:  # lower-bound
+        text = generators.gen_lower_bound_family(args.m).text
     _write_text(args.output, text)
     print(f"{args.family}: {len(text)} symbols -> {args.output}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    with open(args.input, "rb") as fh:
-        fact = archive.deserialize(fh.read())
+    fact = _read_archive(args.input)
     original = _read_text(args.original) if args.original else None
     problem = validate(fact, original)
     if problem is None and original is not None and decode(fact) != original:

@@ -11,6 +11,7 @@ source-to-sink path crosses at most 2*lg(nD) light edges.
 from __future__ import annotations
 
 from bisect import bisect_right
+from typing import NamedTuple
 
 from .factorization import Copy, Factorization
 
@@ -69,19 +70,12 @@ def select_heavy_edges(fact: Factorization, s: list[int], e: list[int]) -> list[
     return heavy
 
 
-class HeavyPathDecomposition:
+class HeavyPathDecomposition(NamedTuple):
     """Disjoint heavy paths covering every factor, with a locator per factor."""
 
-    __slots__ = ("paths", "locator", "heavy_child")
-
-    def __init__(self, paths: list[list[int]], locator: list[tuple[int, int]],
-                 heavy_child: list[int]):
-        self.paths = paths
-        self.locator = locator  # factor i -> (path id, 1-based position)
-        self.heavy_child = heavy_child
-
-    def path_of(self, i: int) -> tuple[int, int]:
-        return self.locator[i - 1]
+    paths: list[list[int]]
+    locator: list[tuple[int, int]]  # factor i at [i - 1]: (path id, 1-based position)
+    heavy_child: list[int]
 
 
 def heavy_paths(fact: Factorization, heavy_child: list[int]) -> HeavyPathDecomposition:

@@ -1,15 +1,16 @@
-"""LZSE factorization data model: factors, decoding, validation, jumps.
+"""LZSE factorization data model: factors, decoding and validation.
 
 Factor indices and text positions are 1-based throughout, mirroring the
 usual factorization notation: factor i occupies T[pos_l(i)..pos_r(i)].
 A copy factor at index i refers to the contiguous run of earlier factors
-F_l .. F_{l+k-1} with l + k - 1 < i.
+F_l .. F_{l+k-1} with l + k - 1 < i.  The jump function and the extended
+factors, which the paper uses to bound access and to prove the greedy trie
+correct, live with the test oracles in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from typing import NamedTuple, Sequence, Union
 
 from .text import BYTE_ALPHABET, Text
@@ -82,9 +83,6 @@ class Factorization:
     def factor(self, i: int) -> Factor:
         return self.factors[i - 1]
 
-    def is_copy(self, i: int) -> bool:
-        return isinstance(self.factors[i - 1], Copy)
-
     def pos_l(self, i: int) -> int:
         return self.bounds[i - 1]
 
@@ -106,22 +104,8 @@ class Factorization:
             raise FactorizationError(f"factor {i} is not a copy factor")
         return self.bounds[f.start + f.count - 1] - 1
 
-    def factor_at(self, p: int) -> int:
-        """Index of the factor containing 1-based text position p."""
-        if not 1 <= p <= self.n:
-            raise FactorizationError(f"position {p} out of range 1..{self.n}")
-        return bisect_right(self.bounds, p)
-
-    def rel(self, p: int) -> tuple[int, int]:
-        """(factor index, 1-based offset inside it) for text position p."""
-        i = self.factor_at(p)
-        return i, p - self.bounds[i - 1] + 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Factorization) and self.factors == other.factors
-
-    def __len__(self) -> int:
-        return len(self.factors)
 
     def __repr__(self) -> str:
         return f"Factorization(z={self.z}, n={self.n})"
@@ -146,7 +130,7 @@ def decode(fact: Factorization) -> Text:
     return Text(out, fact.alphabet_size)
 
 
-def validate(fact: Factorization | Sequence[Factor], text: Text | None = None) -> str | None:
+def validate(fact: Factorization, text: Text | None = None) -> str | None:
     """Check LZSE validity; returns None when valid, else the first violation.
 
     Structural checks (index bounds, no forward references, positional
@@ -154,17 +138,10 @@ def validate(fact: Factorization | Sequence[Factor], text: Text | None = None) -
     copy factor's expansion is compared against its source interval and
     char symbols against the text.
     """
-    if isinstance(fact, Factorization):
-        factors = fact.factors
-        violation = _structural_violation(factors)
-        if violation is not None:
-            return violation
-    else:
-        factors = list(fact)
-        violation = _structural_violation(factors)
-        if violation is not None:
-            return violation
-        fact = Factorization(factors)
+    factors = fact.factors
+    violation = _structural_violation(factors)
+    if violation is not None:
+        return violation
     if text is not None:
         if len(text) != fact.n:
             return f"text length {len(text)} != factorization length {fact.n}"
@@ -179,63 +156,3 @@ def validate(fact: Factorization | Sequence[Factor], text: Text | None = None) -
                     return f"factor {i}: source mismatch"
     return None
 
-
-def jump(fact: Factorization, i: int, r: int) -> tuple[int, int]:
-    """One step of the jump function: where copy factor i's r-th symbol points.
-
-    Returns the (factor index, relative offset) of position
-    src_l(i) + r - 1, i.e. rel(q) for the referenced position q.
-    """
-    if not fact.is_copy(i):
-        raise FactorizationError(f"factor {i} is a char factor; jump undefined")
-    if not 1 <= r <= fact.length(i):
-        raise FactorizationError(f"offset {r} out of range for factor {i}")
-    q = fact.src_l(i) + r - 1
-    return fact.rel(q)
-
-
-def access_naive(fact: Factorization, p: int) -> int:
-    """Symbol at 1-based position p by following the jump sequence."""
-    i, r = fact.rel(p)
-    f = fact.factors[i - 1]
-    while isinstance(f, Copy):
-        i, r = jump(fact, i, r)
-        f = fact.factors[i - 1]
-    return f.symbol
-
-
-def compute_extended_factors(fact: Factorization, text: Text | None = None) -> list[tuple[int, int]]:
-    """Extended factors of a greedy factorization prefix as (index, length) pairs.
-
-    E_i = F_i F_{i+1} when F_i equals some earlier extended factor, else
-    E_i = F_i; the last element is excluded when it duplicates an earlier
-    extended factor.  Strings are compared by content, so the original
-    text (or the decoded one) is used for materialization.
-    """
-    if text is None:
-        text = decode(fact)
-    syms = text.symbols
-    result: list[tuple[int, int]] = []
-    seen: set[tuple[int, ...]] = set()
-    z = fact.z
-    for i in range(1, z + 1):
-        lo = fact.pos_l(i) - 1
-        fi = tuple(syms[lo:fact.pos_r(i)])
-        if fi in seen:
-            if i == z:
-                continue  # last factor's doubled form would need F_{z+1}
-            ei = tuple(syms[lo:fact.pos_r(i + 1)])
-        else:
-            ei = fi
-        result.append((i, len(ei)))
-        seen.add(ei)
-    return result
-
-
-def extended_factor_strings(fact: Factorization, text: Text | None = None) -> list[tuple[int, ...]]:
-    """Materialized extended-factor strings, in factor order."""
-    if text is None:
-        text = decode(fact)
-    syms = text.symbols
-    return [tuple(syms[fact.pos_l(i) - 1: fact.pos_l(i) - 1 + length])
-            for i, length in compute_extended_factors(fact, text)]

@@ -7,7 +7,9 @@ source, Re-Pair by full numpy rescans of the sequence in every round,
 LZ77/LZSS by two nearest-smaller-position passes plus range-minimum LCP
 queries and decoded symbol by symbol, greedy LZSE from a per-symbol trie
 plus the same LCP queries, IBST hints from three root-path LCA descents,
-and random-but-valid factorizations built factor by factor.
+random access by following the paper's jump function one factor at a
+time, extended factors straight from their definition, and
+random-but-valid factorizations built factor by factor.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from bisect import bisect_right
 import numpy as np
 
 from lzse.baselines import Lz77Factor, LzssFactor
-from lzse.factorization import Char, Copy, Factorization
+from lzse.factorization import (Char, Copy, Factorization, FactorizationError,
+                                decode)
 from lzse.grammar import Cfg, GrammarError
 from lzse.ibst import Hint, Ibst
 from lzse.suffixindex import RangeArgMin, SuffixIndex, build_suffix_index
@@ -189,6 +192,80 @@ def hint_for_reference(t: Ibst, i: int, j: int) -> Hint:
     vl = t.lca(i, c - 1) if c > i else None
     vr = t.lca(c + 1, j - 1) if c < j - 1 else None
     return Hint(i, j, c, vl, vr)
+
+
+def factor_at(fact: Factorization, p: int) -> int:
+    """Index of the factor containing 1-based text position p."""
+    if not 1 <= p <= fact.n:
+        raise FactorizationError(f"position {p} out of range 1..{fact.n}")
+    return bisect_right(fact.bounds, p)
+
+
+def rel(fact: Factorization, p: int) -> tuple[int, int]:
+    """(factor index, 1-based offset inside it) for text position p."""
+    i = factor_at(fact, p)
+    return i, p - fact.bounds[i - 1] + 1
+
+
+def jump(fact: Factorization, i: int, r: int) -> tuple[int, int]:
+    """One step of the jump function: where copy factor i's r-th symbol points.
+
+    Returns the (factor index, relative offset) of position
+    src_l(i) + r - 1, i.e. rel(q) for the referenced position q.
+    """
+    if not isinstance(fact.factor(i), Copy):
+        raise FactorizationError(f"factor {i} is a char factor; jump undefined")
+    if not 1 <= r <= fact.length(i):
+        raise FactorizationError(f"offset {r} out of range for factor {i}")
+    q = fact.src_l(i) + r - 1
+    return rel(fact, q)
+
+
+def access_naive(fact: Factorization, p: int) -> int:
+    """Symbol at 1-based position p by following the jump sequence."""
+    i, r = rel(fact, p)
+    f = fact.factors[i - 1]
+    while isinstance(f, Copy):
+        i, r = jump(fact, i, r)
+        f = fact.factors[i - 1]
+    return f.symbol
+
+
+def compute_extended_factors(fact: Factorization, text: Text | None = None) -> list[tuple[int, int]]:
+    """Extended factors of a greedy factorization prefix as (index, length) pairs.
+
+    E_i = F_i F_{i+1} when F_i equals some earlier extended factor, else
+    E_i = F_i; the last element is excluded when it duplicates an earlier
+    extended factor.  Strings are compared by content, so the original
+    text (or the decoded one) is used for materialization.
+    """
+    if text is None:
+        text = decode(fact)
+    syms = text.symbols
+    result: list[tuple[int, int]] = []
+    seen: set[tuple[int, ...]] = set()
+    z = fact.z
+    for i in range(1, z + 1):
+        lo = fact.pos_l(i) - 1
+        fi = tuple(syms[lo:fact.pos_r(i)])
+        if fi in seen:
+            if i == z:
+                continue  # last factor's doubled form would need F_{z+1}
+            ei = tuple(syms[lo:fact.pos_r(i + 1)])
+        else:
+            ei = fi
+        result.append((i, len(ei)))
+        seen.add(ei)
+    return result
+
+
+def extended_factor_strings(fact: Factorization, text: Text | None = None) -> list[tuple[int, ...]]:
+    """Materialized extended-factor strings, in factor order."""
+    if text is None:
+        text = decode(fact)
+    syms = text.symbols
+    return [tuple(syms[fact.pos_l(i) - 1: fact.pos_l(i) - 1 + length])
+            for i, length in compute_extended_factors(fact, text)]
 
 
 def random_valid_factorization(rng: random.Random, max_z: int = 60,

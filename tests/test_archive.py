@@ -7,11 +7,11 @@ from lzse import archive
 from lzse.access import build_access_index
 from lzse.archive import (ArchiveError, deserialize, read_token_text,
                           read_varint, serialize, write_token_text, write_varint)
-from lzse.factorization import Char, Copy, Factorization, access_naive, decode
+from lzse.factorization import Char, Copy, Factorization, decode
 from lzse.greedy import greedy_factorize
 from lzse.text import TOKEN_ALPHABET, Text
 
-from helpers import random_text, random_valid_factorization
+from helpers import access_naive, random_text, random_valid_factorization
 
 
 def test_varint_roundtrip():

@@ -236,6 +236,27 @@ def test_extract_refuses_above_symbol_limit(sample, tmp_path, capsys, monkeypatc
                                        f"above the limit of {1 << 26}\n")
 
 
+@pytest.mark.parametrize("family,flag,largest,limit,refused", [
+    ("unary", "-n", 10, 10, 11),
+    ("random", "-n", 10, 10, 11),
+    ("periodic", "--reps", 5, 10, 12),  # pattern "ab"
+    ("orsp", "-m", 3, 16, 25),          # (m + 1)^2
+    ("lower-bound", "-m", 2, 26, 101),
+])
+def test_gen_refuses_above_symbol_limit(family, flag, largest, limit, refused, tmp_path,
+                                        capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DECOMPRESS_SYMBOLS", limit)
+    ok = tmp_path / "ok"
+    assert main(["gen", family, flag, str(largest), "-o", str(ok)]) == 0
+    assert ok.exists()
+    capsys.readouterr()
+    over = tmp_path / "over"
+    assert main(["gen", family, flag, str(largest + 1), "-o", str(over)]) == 2
+    assert capsys.readouterr().err == (f"error: gen {family} of up to {refused} "
+                                       f"symbols is above the limit of {limit}\n")
+    assert not over.exists()
+
+
 def test_read_commands_do_not_load_numpy(tmp_path):
     script = """if True:
         import sys

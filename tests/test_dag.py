@@ -72,9 +72,9 @@ def test_heavy_paths_abab():
     s, e, _ = compute_path_counts(ABAB)
     dec = heavy_paths(ABAB, select_heavy_edges(ABAB, s, e))
     assert sorted(map(tuple, dec.paths)) == [(1,), (2,), (4, 3)]
-    pid, pos = dec.path_of(4)
+    pid, pos = dec.locator[4 - 1]
     assert dec.paths[pid] == [4, 3] and pos == 1
-    assert dec.path_of(3) == (pid, 2)
+    assert dec.locator[3 - 1] == (pid, 2)
 
 
 def test_heavy_paths_all_singletons():

@@ -1,9 +1,11 @@
 import pytest
 
 from lzse.factorization import (Char, Copy, Factorization, FactorizationError,
-                                access_naive, compute_extended_factors, decode,
-                                extended_factor_strings, jump, validate)
+                                decode, validate)
 from lzse.text import TOKEN_ALPHABET, Text
+
+from helpers import (access_naive, compute_extended_factors, extended_factor_strings,
+                     factor_at, jump, rel)
 
 FIG_FACTORS = [Char(97), Char(98), Copy(1, 2), Copy(2, 2), Copy(1, 3)]
 FIG_TEXT = Text.from_str("ababbababab")
@@ -40,10 +42,10 @@ def test_validate_ok():
 
 
 def test_validate_forward_reference():
-    report = validate([Char(97), Copy(2, 1)])
-    assert report is not None and "forward reference" in report
-    report = validate([Char(97), Copy(1, 2)])
-    assert report is not None and "forward reference" in report
+    with pytest.raises(FactorizationError, match="forward reference"):
+        Factorization([Char(97), Copy(2, 1)])
+    with pytest.raises(FactorizationError, match="forward reference"):
+        Factorization([Char(97), Copy(1, 2)])
 
 
 def test_validate_source_mismatch():
@@ -150,8 +152,8 @@ def test_decode_rejects_out_of_range_char_with_value_error():
 
 def test_rel_and_factor_at():
     f = fig_fact()
-    assert f.rel(1) == (1, 1)
-    assert f.rel(4) == (3, 2)
-    assert f.rel(11) == (5, 4)
+    assert rel(f, 1) == (1, 1)
+    assert rel(f, 4) == (3, 2)
+    assert rel(f, 11) == (5, 4)
     with pytest.raises(FactorizationError):
-        f.factor_at(0)
+        factor_at(f, 0)

@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzse.factorization import (Char, Copy, Factorization, compute_extended_factors,
-                                decode, extended_factor_strings, validate)
+from lzse.factorization import Char, Copy, Factorization, decode, validate
 from lzse.generators import gen_lower_bound_family, gen_periodic, gen_random, gen_unary
 from lzse.greedy import greedy_factorize, greedy_factorize_oracle
 from lzse.suffixindex import build_suffix_index
 from lzse.text import Text
 
-from helpers import (all_binary_texts, block_repetitive, factor_string,
+from helpers import (all_binary_texts, block_repetitive, compute_extended_factors,
+                     extended_factor_strings, factor_string,
                      greedy_factorize_reference, random_text)
 from test_acceptance import zipf_words_pattern
 

@@ -1,0 +1,34 @@
+import ast
+import importlib
+from pathlib import Path
+
+import lzse
+
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+EXPORTS = sorted([
+    "Copy", "Ibst", "Text", "build_access_index", "build_suffix_index", "decode",
+    "deserialize", "extract_field_streams", "grammar_to_lzse", "greedy_factorize",
+    "h0", "lz77_factorize", "lzss_factorize", "repair_compress", "serialize",
+    "validate",
+])
+
+
+def test_benchmark_worker_imports_resolve():
+    # the benchmark's worker is read, not imported: every name it takes
+    # from an lzse module must still be there
+    tree = ast.parse(WORKER.read_text())
+    seen = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "lzse":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                seen += 1
+    assert seen > 0
+
+
+def test_top_level_exports():
+    # the worker's names from `lzse` itself, plus Text for the README sketch
+    assert sorted(lzse.__all__) == EXPORTS
+    assert all(hasattr(lzse, name) for name in EXPORTS)
