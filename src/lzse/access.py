@@ -23,7 +23,7 @@ from bisect import bisect_left
 from typing import Callable
 
 from .dag import compute_path_counts, heavy_paths, select_heavy_edges
-from .factorization import Char, Copy, Factorization, validate
+from .factorization import Factorization
 from .ibst import Hint, Ibst
 from .text import Text
 
@@ -62,14 +62,14 @@ class PathSkip:
         # (start, exit factor's path index, global range the jump lands in)
         # per interval: exits left of the next path node, the final exit
         # (None: its own source hint), then exits right of the next node.
+        start, count = fact.start, fact.count
         seq = []
         for j in range(ell - 1):
-            src = fact.factors[path[j] - 1]
-            seq.append((L[j], j, (src.start - 1, path[j + 1] - 1)))
+            seq.append((L[j], j, (start[path[j] - 1] - 1, path[j + 1] - 1)))
         seq.append((L[ell - 1], ell - 1, None))
         for j in range(ell - 2, -1, -1):
-            src = fact.factors[path[j] - 1]
-            seq.append((R[j + 1], j, (path[j + 1], src.start + src.count - 1)))
+            f = path[j] - 1
+            seq.append((R[j + 1], j, (path[j + 1], start[f] + count[f] - 1)))
         seq.append((R[0], None, None))  # closing boundary only
         boundaries = []
         exits = []
@@ -102,24 +102,19 @@ class PathSkip:
 class AccessIndex:
     """Random-access structure: global IBST, source hints, path skips."""
 
-    __slots__ = ("fact", "n", "global_ibst", "src_hints", "src_start",
-                 "paths", "path_skips", "locator", "_symbols")
+    __slots__ = ("fact", "n", "global_ibst", "src_hints", "paths",
+                 "path_skips", "locator")
 
     def __init__(self, fact: Factorization):
-        problem = validate(fact)
-        if problem is not None:
-            raise ValueError(f"invalid factorization: {problem}")
         self.fact = fact
         self.n = fact.n
         z = fact.z
         if z == 0:
             self.global_ibst = None
             self.src_hints = []
-            self.src_start = []
             self.paths = []
             self.path_skips = []
             self.locator = []
-            self._symbols = []
             return
         global_ibst = self.global_ibst = Ibst(fact.bounds)
         # one Hint per distinct boundary range, shared by every copy factor
@@ -132,16 +127,12 @@ class AccessIndex:
                 hint = hints[i, j] = global_ibst.hint_for(i, j)
             return hint
 
-        # start position and hint of each copy factor's source range [srcL, srcR]
-        bounds = fact.bounds
+        # hint of each copy factor's source range [srcL, srcR]
         src_hints: list[Hint | None] = [None] * (z + 1)
-        src_start = [0] * (z + 1)
-        for i, f in enumerate(fact.factors, start=1):
-            if isinstance(f, Copy):
-                src_start[i] = bounds[f.start - 1]
-                src_hints[i] = global_hint(f.start - 1, f.start + f.count - 1)
+        for i, (l, k) in enumerate(zip(fact.start, fact.count), start=1):
+            if l:
+                src_hints[i] = global_hint(l - 1, l + k - 1)
         self.src_hints = src_hints
-        self.src_start = src_start
         s, e, _ = compute_path_counts(fact)
         decomposition = heavy_paths(fact, select_heavy_edges(fact, s, e))
         self.paths = decomposition.paths
@@ -153,7 +144,6 @@ class AccessIndex:
             else PathSkip(fact, path, global_hint, src_hints)
             for path in self.paths
         ]
-        self._symbols = [f.symbol if isinstance(f, Char) else -1 for f in fact.factors]
 
     def access(self, p: int) -> int:
         """Symbol at 1-based position p."""
@@ -164,17 +154,17 @@ class AccessIndex:
         if not 1 <= p <= self.n:
             raise ValueError(f"position {p} out of range 1..{self.n}")
         bounds = self.fact.bounds
-        symbols = self._symbols
+        src_hints = self.src_hints
         i, visits = self.global_ibst.search_counted(p)
         f = i + 1
         iters = 0
-        while symbols[f - 1] < 0:
+        while src_hints[f] is not None:  # a copy; its source starts at bounds[hint.i]
             iters += 1
             pid, s = self.locator[f - 1]
             skip = self.path_skips[pid]
             if skip is None:  # one-factor path: jump into f's own source
-                hint = self.src_hints[f]
-                p = self.src_start[f] + p - bounds[f - 1]
+                hint = src_hints[f]
+                p = bounds[hint.i] + p - bounds[f - 1]
             else:
                 q = skip.L[s - 1] + p - bounds[f - 1]
                 idx, vis = skip.ibst.search_with_hint_counted(skip.pos_hints[s - 1], q)
@@ -182,11 +172,11 @@ class AccessIndex:
                 f, base, hint = skip.exits[idx]
                 if hint is None:  # path ends at a char factor: done
                     break
-                p = self.src_start[f] + q - base - 1
+                p = bounds[src_hints[f].i] + q - base - 1
             i, vis = self.global_ibst.search_with_hint_counted(hint, p)
             visits += vis
             f = i + 1
-        return symbols[f - 1], iters, visits
+        return self.fact.count[f - 1], iters, visits
 
     def extract(self, lo: int, hi: int) -> Text:
         """Symbols at positions lo..hi (1-based, inclusive)."""
@@ -210,5 +200,5 @@ class AccessIndex:
 
 
 def build_access_index(fact: Factorization) -> AccessIndex:
-    """Validate the factorization and assemble the random-access index."""
+    """Assemble the random-access index; ``fact`` was checked when made."""
     return AccessIndex(fact)

@@ -8,10 +8,10 @@ factor with k = v referenced factors, followed by varint d = i - l >= 1,
 the back-distance from the factor's own index to its start factor.
 Varints are unsigned LEB128.
 
-``deserialize`` reads one-byte counts and back-distances of up to two bytes
-inline, the common record shapes, and calls ``read_varint`` for every other
-varint and for any field that runs off the end, so every error keeps the
-message and offset that ``read_varint`` gives.
+``deserialize`` reads counts and back-distances of up to two bytes inline
+and calls ``read_varint`` for every other varint and any field that runs off
+the end, so every error keeps ``read_varint``'s message and offset.  A record
+that cannot be a factor (d outside 1..i-1, or k > d) fails at its offset.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .factorization import Char, Copy, Factorization
+from .factorization import Factorization, FactorizationError
 from .text import BYTE_ALPHABET, TOKEN_ALPHABET, Text
 
 MAGIC = b"LZSE"
@@ -73,18 +73,18 @@ def serialize(fact: Factorization) -> bytes:
     out.append(mode)
     write_varint(out, fact.n)
     write_varint(out, fact.z)
-    for i, f in enumerate(fact.factors, start=1):
-        if isinstance(f, Char):
+    for i, (l, k) in enumerate(zip(fact.start, fact.count), start=1):
+        if l:
+            write_varint(out, k)
+            write_varint(out, i - l)
+        else:
             write_varint(out, 0)
             if mode == MODE_BYTE:
-                if not 0 <= f.symbol < 256:
-                    raise ArchiveError(f"factor {i}: symbol {f.symbol} not a byte")
-                out.append(f.symbol)
+                if not 0 <= k < 256:
+                    raise ArchiveError(f"factor {i}: symbol {k} not a byte")
+                out.append(k)
             else:
-                write_varint(out, f.symbol)
-        else:
-            write_varint(out, f.count)
-            write_varint(out, i - f.start)
+                write_varint(out, k)
     return bytes(out)
 
 
@@ -104,14 +104,16 @@ def deserialize(data: bytes) -> Factorization:
     # two continuation bytes past the end send a field that runs off the
     # archive to read_varint, which raises its "truncated varint"
     buf = bytes(data) + b"\x80\x80"
-    new = tuple.__new__  # Char/Copy without the NamedTuple constructor
-    factors: list[Char | Copy] = []
-    append = factors.append
+    start: list[int] = []
+    count: list[int] = []
     for i in range(1, z + 1):
         record_at = pos
         v = buf[pos]
         if v < 0x80:
             pos += 1
+        elif buf[pos + 1] < 0x80:
+            v = (v & 0x7F) | buf[pos + 1] << 7
+            pos += 2
         else:
             v, pos = read_varint(data, pos)
         if v:
@@ -125,7 +127,11 @@ def deserialize(data: bytes) -> Factorization:
                 d, pos = read_varint(data, pos)
             if d < 1 or d >= i:
                 raise ArchiveError(f"factor {i}: bad back-distance {d}", record_at)
-            append(new(Copy, (i - d, v)))
+            if v > d:
+                raise ArchiveError(f"factor {i}: forward reference, count {v} "
+                                   f"above back-distance {d}", record_at)
+            start.append(i - d)
+            count.append(v)
         else:
             if mode == MODE_BYTE:
                 if pos >= len(data):
@@ -137,15 +143,15 @@ def deserialize(data: bytes) -> Factorization:
                 if sym >= TOKEN_ALPHABET:
                     raise ArchiveError(f"factor {i}: symbol {sym} exceeds 32 bits",
                                        record_at)
-            append(new(Char, (sym,)))
+            start.append(0)
+            count.append(sym)
     if pos != len(data):
         raise ArchiveError(f"{len(data) - pos} trailing bytes", pos)
     alphabet = BYTE_ALPHABET if mode == MODE_BYTE else TOKEN_ALPHABET
     try:
-        fact = Factorization(factors, n, alphabet_size=alphabet)
-    except ValueError as ex:
+        return Factorization.from_lists(start, count, n, alphabet)
+    except FactorizationError as ex:
         raise ArchiveError(str(ex)) from ex
-    return fact
 
 
 # token texts on disk: magic, version, varint count, then 32-bit LE tokens

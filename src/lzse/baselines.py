@@ -15,7 +15,7 @@ import os
 from collections import Counter
 from typing import NamedTuple
 
-from .factorization import Char, Factorization
+from .factorization import Factorization
 from .grammar import Cfg, grammar_to_lzse, repair_compress
 from .greedy import greedy_factorize
 from .suffixindex import SuffixIndex, build_suffix_index
@@ -140,17 +140,13 @@ def extract_field_streams(method: str, artifact) -> FieldStreams:
             artifact = grammar_to_lzse(artifact)
         if not isinstance(artifact, Factorization):
             raise TypeError("lzse expects a Factorization")
-        flags, literals, sources, lengths = [], [], [], []
-        for f in artifact.factors:
-            if isinstance(f, Char):
-                flags.append(0)
-                literals.append(f.symbol)
-            else:
-                flags.append(1)
-                sources.append(f.start)
-                lengths.append(f.count)
-        return FieldStreams(method, {"flag": flags, "literal": literals,
-                                     "source": sources, "length": lengths})
+        start, count = artifact.start, artifact.count
+        return FieldStreams(method, {
+            "flag": [1 if l else 0 for l in start],
+            "literal": [k for l, k in zip(start, count) if not l],
+            "source": [l for l in start if l],
+            "length": [k for l, k in zip(start, count) if l],
+        })
     if method == "lz77":
         if not (isinstance(artifact, list)
                 and all(isinstance(f, Lz77Factor) for f in artifact)):

@@ -24,7 +24,8 @@ from . import generators
 # the 16 MiB that `import lzse.cli` takes: 2 bytes per symbol in byte mode,
 # 8 in token mode.  So 2^26 symbols peak near 144 MiB and 530 MiB: 64 times
 # the largest benchmark corpus (1 MiB).  extract holds the same Text and
-# spends one access per symbol; gen, which builds a list first, 9 per symbol.
+# spends one access per symbol.  gen fills the Text's buffer directly, and at
+# 2^22 symbols peaks at 1 byte per symbol (lower-bound 2, token mode 8).
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 
 

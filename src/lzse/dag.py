@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .factorization import Copy, Factorization
+from .factorization import Factorization
 
 
 def compute_path_counts(fact: Factorization) -> tuple[list[int], list[int], int]:
@@ -27,7 +27,7 @@ def compute_path_counts(fact: Factorization) -> tuple[list[int], list[int], int]
     in z.
     """
     z = fact.z
-    bounds = fact.bounds
+    bounds, start, count = fact.bounds, fact.start, fact.count
     s = [bounds[i + 1] - bounds[i] for i in range(z)]
 
     e = [0] * z
@@ -40,11 +40,11 @@ def compute_path_counts(fact: Factorization) -> tuple[list[int], list[int], int]
         ei = e[i - 1] = acc if acc else 1
         if acc == 0:
             n_d += s[i - 1]  # no incoming edge: a source node
-        f = fact.factors[i - 1]
-        if isinstance(f, Copy):
-            activate[f.start + f.count - 1] += ei
-            if f.start >= 2:
-                cancel[f.start - 1] += ei
+        l = start[i - 1]
+        if l:
+            activate[l + count[i - 1] - 1] += ei
+            if l >= 2:
+                cancel[l - 1] += ei
     return s, e, n_d
 
 
@@ -60,10 +60,10 @@ def select_heavy_edges(fact: Factorization, s: list[int], e: list[int]) -> list[
     """
     bounds = fact.bounds
     heavy = [0] * fact.z
-    for i, f in enumerate(fact.factors):
-        if not isinstance(f, Copy):
+    for i, l in enumerate(fact.start):
+        if not l:
             continue
-        j = bisect_right(bounds, bounds[f.start - 1] + s[i] // 2)
+        j = bisect_right(bounds, bounds[l - 1] + s[i] // 2)
         if (s[i].bit_length() == s[j - 1].bit_length()
                 and e[i].bit_length() == e[j - 1].bit_length()):
             heavy[i] = j
@@ -111,11 +111,10 @@ def max_light_edges_on_path(fact: Factorization, decomposition: HeavyPathDecompo
     heavy_child = decomposition.heavy_child
     ml = [0] * (z + 1)
     best = 0
-    for i in range(1, z + 1):
-        f = fact.factors[i - 1]
-        if isinstance(f, Copy):
+    for i, (l, k) in enumerate(zip(fact.start, fact.count), start=1):
+        if l:
             v = 0
-            for j in range(f.start, f.start + f.count):
+            for j in range(l, l + k):
                 v = max(v, ml[j] + (0 if heavy_child[i - 1] == j else 1))
             ml[i] = v
             best = max(best, v)

@@ -3,15 +3,16 @@
 Factor indices and text positions are 1-based throughout, mirroring the
 usual factorization notation: factor i occupies T[pos_l(i)..pos_r(i)].
 A copy factor at index i refers to the contiguous run of earlier factors
-F_l .. F_{l+k-1} with l + k - 1 < i.  The jump function and the extended
-factors, which the paper uses to bound access and to prove the greedy trie
-correct, live with the test oracles in ``tests/helpers.py``.
+F_l .. F_{l+k-1} with l + k - 1 < i, stored as start = l and count = k; a
+char factor has start 0 and its symbol in count.  The jump function and the
+extended factors, which the paper uses to bound access and to prove the
+greedy trie correct, live with the test oracles in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 from .text import BYTE_ALPHABET, Text
 
@@ -25,63 +26,85 @@ class Copy(NamedTuple):
     count: int   # number k of referenced factors
 
 
-Factor = Union[Char, Copy]
-
-
 class FactorizationError(ValueError):
     pass
 
 
-def _structural_violation(factors: Sequence[Factor]) -> str | None:
-    for i, f in enumerate(factors, start=1):
-        if isinstance(f, Char):
-            if f.symbol < 0:
-                return f"factor {i}: negative symbol"
-        elif isinstance(f, Copy):
-            if f.start < 1 or f.count < 1:
-                return f"factor {i}: non-positive copy fields"
-            if f.start + f.count - 1 >= i:
-                return f"factor {i}: forward reference"
-        else:
-            return f"factor {i}: unknown factor kind"
-    return None
-
-
 class Factorization:
-    """Ordered factor sequence with cached factor boundaries.
+    """Immutable factor sequence over flat ``start``/``count`` tuples.
 
     bounds[t] = pos_l of factor t+1 for t in 0..z-1, and bounds[z] = n + 1,
     so factor i spans [bounds[i-1], bounds[i] - 1].
     """
 
-    __slots__ = ("factors", "n", "bounds", "alphabet_size")
+    __slots__ = ("start", "count", "bounds", "n", "alphabet_size")
 
-    def __init__(self, factors: Sequence[Factor], n: int | None = None,
+    def __init__(self, factors: Iterable[Char | Copy], n: int | None = None,
                  alphabet_size: int = 256):
-        factors = list(factors)
-        violation = _structural_violation(factors)
-        if violation is not None:
-            raise FactorizationError(violation)
-        bounds = [1]
+        start: list[int] = []
+        count: list[int] = []
         for f in factors:
             if isinstance(f, Char):
-                length = 1
+                start.append(0)
+                count.append(f.symbol)
+            elif isinstance(f, Copy):
+                # a start below 1 must not read as a char's 0
+                start.append(f.start if f.start >= 1 else -1)
+                count.append(f.count)
             else:
-                length = bounds[f.start + f.count - 1] - bounds[f.start - 1]
-            bounds.append(bounds[-1] + length)
-        self.factors = factors
-        self.bounds = bounds
-        self.n = bounds[-1] - 1
-        self.alphabet_size = alphabet_size
-        if n is not None and n != self.n:
-            raise FactorizationError(f"factor lengths sum to {self.n}, expected {n}")
+                raise FactorizationError(f"factor {len(start) + 1}: unknown factor kind")
+        self._set(start, count, n, alphabet_size)
+
+    @classmethod
+    def from_lists(cls, start: Sequence[int], count: Sequence[int],
+                   n: int | None = None, alphabet_size: int = 256) -> "Factorization":
+        """Factorization of the flat fields, checked as the constructor checks."""
+        fact = object.__new__(cls)
+        fact._set(start, count, n, alphabet_size)
+        return fact
+
+    def _set(self, start, count, n, alphabet_size) -> None:
+        """The one structure check: copy fields are positive, copies reference
+        only earlier factors, symbols are non-negative, lengths sum to n."""
+        bounds = [1]
+        pos = 1
+        i = 0
+        for l, k in zip(start, count, strict=True):
+            i += 1
+            if l > 0:
+                if k < 1:
+                    raise FactorizationError(f"factor {i}: non-positive copy fields")
+                if l + k > i:
+                    raise FactorizationError(f"factor {i}: forward reference")
+                pos += bounds[l + k - 1] - bounds[l - 1]
+            elif l:
+                raise FactorizationError(f"factor {i}: non-positive copy fields")
+            elif k < 0:
+                raise FactorizationError(f"factor {i}: negative symbol")
+            else:
+                pos += 1
+            bounds.append(pos)
+        if n is not None and n != pos - 1:
+            raise FactorizationError(f"factor lengths sum to {pos - 1}, expected {n}")
+        for name, value in zip(self.__slots__, (tuple(start), tuple(count), tuple(bounds),
+                                                pos - 1, alphabet_size)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Factorization is immutable")
+
+    @property
+    def factors(self) -> list[Char | Copy]:
+        """The factors as ``Char``/``Copy`` tuples, built on each call."""
+        return [Copy(l, k) if l else Char(k) for l, k in zip(self.start, self.count)]
 
     @property
     def z(self) -> int:
-        return len(self.factors)
+        return len(self.start)
 
-    def factor(self, i: int) -> Factor:
-        return self.factors[i - 1]
+    def factor(self, i: int) -> Char | Copy:
+        l, k = self.start[i - 1], self.count[i - 1]
+        return Copy(l, k) if l else Char(k)
 
     def pos_l(self, i: int) -> int:
         return self.bounds[i - 1]
@@ -93,19 +116,20 @@ class Factorization:
         return self.bounds[i] - self.bounds[i - 1]
 
     def src_l(self, i: int) -> int:
-        f = self.factors[i - 1]
-        if not isinstance(f, Copy):
+        l = self.start[i - 1]
+        if not l:
             raise FactorizationError(f"factor {i} is not a copy factor")
-        return self.bounds[f.start - 1]
+        return self.bounds[l - 1]
 
     def src_r(self, i: int) -> int:
-        f = self.factors[i - 1]
-        if not isinstance(f, Copy):
+        l = self.start[i - 1]
+        if not l:
             raise FactorizationError(f"factor {i} is not a copy factor")
-        return self.bounds[f.start + f.count - 1] - 1
+        return self.bounds[l + self.count[i - 1] - 1] - 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Factorization) and self.factors == other.factors
+        return (isinstance(other, Factorization) and self.start == other.start
+                and self.count == other.count)
 
     def __repr__(self) -> str:
         return f"Factorization(z={self.z}, n={self.n})"
@@ -120,39 +144,32 @@ def decode(fact: Factorization) -> Text:
     out = bytearray() if fact.alphabet_size <= BYTE_ALPHABET else array("I")
     bounds = fact.bounds
     try:
-        for f in fact.factors:
-            if isinstance(f, Char):
-                out.append(f.symbol)
+        for l, k in zip(fact.start, fact.count):
+            if l:
+                out += out[bounds[l - 1] - 1:bounds[l + k - 1] - 1]
             else:
-                out += out[bounds[f.start - 1] - 1:bounds[f.start + f.count - 1] - 1]
+                out.append(k)
     except OverflowError as ex:
         raise ValueError(f"char symbol out of range for alphabet {fact.alphabet_size}") from ex
     return Text(out, fact.alphabet_size)
 
 
 def validate(fact: Factorization, text: Text | None = None) -> str | None:
-    """Check LZSE validity; returns None when valid, else the first violation.
-
-    Structural checks (index bounds, no forward references, positional
-    consistency) always run.  When the original text is supplied, every
-    copy factor's expansion is compared against its source interval and
-    char symbols against the text.
+    """Compare a factorization with its text; None when they agree, else the
+    first mismatch.  Without a text there is nothing left to check: the
+    structure was checked when ``fact`` was made.
     """
-    factors = fact.factors
-    violation = _structural_violation(factors)
-    if violation is not None:
-        return violation
-    if text is not None:
-        if len(text) != fact.n:
-            return f"text length {len(text)} != factorization length {fact.n}"
-        for i, f in enumerate(factors, start=1):
-            if isinstance(f, Char):
-                if text[fact.pos_l(i) - 1] != f.symbol:
-                    return f"factor {i}: char symbol mismatch"
-            else:
-                lo, hi = fact.pos_l(i), fact.pos_r(i)
-                slo, shi = fact.src_l(i), fact.src_r(i)
-                if text.symbols[lo - 1:hi] != text.symbols[slo - 1:shi]:
-                    return f"factor {i}: source mismatch"
+    if text is None:
+        return None
+    if len(text) != fact.n:
+        return f"text length {len(text)} != factorization length {fact.n}"
+    syms = text.symbols
+    bounds = fact.bounds
+    for i, (l, k) in enumerate(zip(fact.start, fact.count), start=1):
+        lo = bounds[i - 1] - 1
+        if not l:
+            if syms[lo] != k:
+                return f"factor {i}: char symbol mismatch"
+        elif syms[lo:bounds[i] - 1] != syms[bounds[l - 1] - 1:bounds[l + k - 1] - 1]:
+            return f"factor {i}: source mismatch"
     return None
-

@@ -9,10 +9,11 @@ smaller hand-built one (m^2 + 6 factors).
 from __future__ import annotations
 
 import random
+from array import array
 from typing import NamedTuple
 
-from .factorization import Char, Copy, Factorization
-from .text import Text, alphabet_for
+from .factorization import Factorization
+from .text import BYTE_ALPHABET, TOKEN_ALPHABET, Text, alphabet_for
 
 
 class OrspInstance(NamedTuple):
@@ -24,24 +25,15 @@ class OrspInstance(NamedTuple):
         return sym >= self.m
 
 
-def gen_orsp(m: int, queries: list[tuple[int, int]] | None = None,
-             seed: int | None = None) -> OrspInstance:
+def gen_orsp(m: int, seed: int | None = None) -> OrspInstance:
     """Token text x_1..x_m $_1 Q_1 $_2 ... $_m Q_m $_{m+1} with Q_i = x_{l_i}..x_{r_i}."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if queries is None:
-        rng = random.Random(seed)
-        queries = []
-        for _ in range(m):
-            l = rng.randint(1, m)
-            queries.append((l, rng.randint(l, m)))
-    else:
-        queries = [tuple(q) for q in queries]
-        if len(queries) != m:
-            raise ValueError(f"expected {m} queries, got {len(queries)}")
-        for l, r in queries:
-            if not 1 <= l <= r <= m:
-                raise ValueError(f"query ({l}, {r}) out of range 1..{m}")
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(m):
+        l = rng.randint(1, m)
+        queries.append((l, rng.randint(l, m)))
     tokens = list(range(m))
     for i, (l, r) in enumerate(queries):
         tokens.append(m + i)
@@ -76,40 +68,36 @@ def gen_lower_bound_family(m: int) -> LowerBoundFamily:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    a, b = ord("a"), ord("b")
-    symbols = [a] * (1 << (m + 1)) + [b] * ((1 << (m + 1)) + 1)
-    # alternative parse of A B: a|a|a^2|...|a^(2^m)|b|b|b|b^2|...|b^(2^m)
-    factors: list[Char | Copy] = [Char(a), Copy(1, 1)]
-    for k in range(1, m + 1):
-        factors.append(Copy(1, k + 1))  # a^(2^k) copies everything so far
-    factors.extend([Char(b), Copy(m + 3, 1), Copy(m + 3, 1)])
-    for k in range(1, m + 1):
-        factors.append(Copy(m + 4, k + 1))  # b^(2^k) = b, b, b^2, ..., b^(2^(k-1))
+    symbols = bytearray(b"a" * (1 << (m + 1)) + b"b" * ((1 << (m + 1)) + 1))
+    # alternative parse of A B: a|a|a^2|...|a^(2^m)|b|b|b|b^2|...|b^(2^m):
+    # a^(2^k) copies everything so far, b^(2^k) = b, b, b^2, ..., b^(2^(k-1))
+    start = [0, 1] + [1] * m + [0, m + 3, m + 3] + [m + 4] * m
+    count = [ord("a"), 1, *range(2, m + 2), ord("b"), 1, 1, *range(2, m + 2)]
     for i in range(1, m):
         for j in range(m - 1, 0, -1):
-            run = [a] * ((1 << (m + 1)) - (1 << (m - i + 1)))
-            run += [b] * ((1 << (j + 1)) + 1)
-            symbols.extend(run)
+            symbols += b"a" * ((1 << (m + 1)) - (1 << (m - i + 1)))
+            symbols += b"b" * ((1 << (j + 1)) + 1)
             # contiguous factors: a^(2^(m-i+1)) .. a^(2^m), b, b, b, b^2 .. b^(2^j)
-            start = m - i + 3
-            factors.append(Copy(start, i + j + 3))
-    text = Text(symbols)
-    alternative = Factorization(factors, len(symbols))
-    return LowerBoundFamily(m, text, alternative)
+            start.append(m - i + 3)
+            count.append(i + j + 3)
+    alternative = Factorization.from_lists(start, count, len(symbols))
+    return LowerBoundFamily(m, Text(symbols), alternative)
 
 
-def gen_unary(n: int, symbol: int = ord("a")) -> Text:
+def gen_unary(n: int) -> Text:
     if n < 0:
         raise ValueError("n must be non-negative")
-    return Text([symbol] * n)
+    return Text(b"a" * n)
 
 
 def gen_random(n: int, sigma: int, seed: int) -> Text:
     if n < 0 or sigma < 1:
         raise ValueError("need n >= 0 and sigma >= 1")
     rng = random.Random(seed)
-    alphabet = 256 if sigma <= 256 else 1 << 32
-    return Text([rng.randrange(sigma) for _ in range(n)], alphabet)
+    draws = (rng.randrange(sigma) for _ in range(n))
+    if sigma <= BYTE_ALPHABET:
+        return Text(bytes(draws))
+    return Text(array("I", draws), TOKEN_ALPHABET)
 
 
 def gen_periodic(pattern, reps: int) -> Text:
@@ -117,5 +105,6 @@ def gen_periodic(pattern, reps: int) -> Text:
         raise ValueError("reps must be non-negative")
     if isinstance(pattern, str):
         pattern = pattern.encode("latin-1")
-    syms = list(pattern) * reps
-    return Text(syms, alphabet_for(syms))
+    if alphabet_for(pattern) == BYTE_ALPHABET:
+        return Text(bytes(pattern) * reps)
+    return Text(array("I", pattern) * reps, TOKEN_ALPHABET if reps else BYTE_ALPHABET)

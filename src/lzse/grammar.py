@@ -13,7 +13,7 @@ from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .factorization import Char, Copy, Factorization
+from .factorization import Factorization
 from .text import Text, alphabet_for
 
 
@@ -172,7 +172,8 @@ def grammar_to_lzse(g: Cfg, alphabet_size: int | None = None) -> Factorization:
     later visits emit a single copy factor referencing that range, and
     terminal leaves emit char factors.
     """
-    factors: list[Char | Copy] = []
+    start: list[int] = []
+    count: list[int] = []
     ranges: dict[int, tuple[int, int]] = {}
     rules = g.rules
 
@@ -183,24 +184,26 @@ def grammar_to_lzse(g: Cfg, alphabet_size: int | None = None) -> Factorization:
         frame = stack.pop()
         if frame[0] == "close":
             _, x, first = frame
-            ranges[x] = (first, len(factors))
+            ranges[x] = (first, len(start))
             continue
         _, sym, _ = frame
         if g.is_terminal(sym):
-            factors.append(Char(sym))
+            start.append(0)
+            count.append(sym)
             continue
         if sym in ranges:
             lo, hi = ranges[sym]
-            factors.append(Copy(lo, hi - lo + 1))
+            start.append(lo)
+            count.append(hi - lo + 1)
             continue
         ranges[sym] = (0, -1)  # reserve; filled by the close frame
-        stack.append(("close", sym, len(factors) + 1))
+        stack.append(("close", sym, len(start) + 1))
         for child in reversed(rules[sym]):
             stack.append(("visit", child, 0))
     if alphabet_size is None:
         terminals = [s for rhs in rules.values() for s in rhs if g.is_terminal(s)]
         alphabet_size = alphabet_for(terminals)
-    return Factorization(factors, alphabet_size=alphabet_size)
+    return Factorization.from_lists(start, count, alphabet_size=alphabet_size)
 
 
 def repair_compress(text: Text) -> Cfg:

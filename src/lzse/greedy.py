@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .factorization import Char, Copy, Factorization
+from .factorization import Factorization
 from .text import Text
 
 
@@ -115,7 +115,8 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
         else:
             marks[v].append(mark)
 
-    factors: list[Char | Copy] = []
+    starts: list[int] = []  # the factors' flat fields, as Factorization holds them
+    counts: list[int] = []
     bounds = [1]  # bounds[t] = pos_l of factor t+1
     deferred = 0  # factor awaiting its doubled extended factor, 0 = none
     p = 0  # symbols parsed so far
@@ -156,13 +157,13 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
                     best_pos = fpos
                     best_start = fi
                     best_end = j
-        if best_len == 0:
-            factors.append(Char(syms[p]))
-            flen = 1
+        if best_len == 0:  # a char factor
+            l, c, flen = 0, syms[p], 1
         else:
-            factors.append(Copy(best_start, best_end - best_start + 1))
-            flen = best_len
-        k = len(factors)
+            l, c, flen = best_start, best_end - best_start + 1, best_len
+        starts.append(l)
+        counts.append(c)
+        k = len(starts)
         bounds.append(bounds[-1] + flen)
         p += flen
         if deferred:
@@ -176,7 +177,7 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
         else:
             flo = bounds[k - 1] - 1
             insert(flo, bounds[k] - 1, (k, flo + 1))
-    return Factorization(factors, n, text.alphabet_size)
+    return Factorization.from_lists(starts, counts, n, text.alphabet_size)
 
 
 def greedy_factorize_oracle(text: Text) -> Factorization:
@@ -187,14 +188,15 @@ def greedy_factorize_oracle(text: Text) -> Factorization:
     """
     n = len(text)
     syms = text.symbols
-    factors: list[Char | Copy] = []
+    starts: list[int] = []
+    counts: list[int] = []
     bounds = [1]
     p = 0
     while p < n:
         best_len = 0
         best_pos = n + 2
         best_start = best_end = 0
-        for fi in range(1, len(factors) + 1):
+        for fi in range(1, len(starts) + 1):
             fpos = bounds[fi - 1]
             cap = p - fpos + 1
             d = 0
@@ -210,12 +212,12 @@ def greedy_factorize_oracle(text: Text) -> Factorization:
                 best_pos = fpos
                 best_start = fi
                 best_end = j
-        if best_len == 0:
-            factors.append(Char(syms[p]))
-            flen = 1
+        if best_len == 0:  # a char factor
+            l, c, flen = 0, syms[p], 1
         else:
-            factors.append(Copy(best_start, best_end - best_start + 1))
-            flen = best_len
+            l, c, flen = best_start, best_end - best_start + 1, best_len
+        starts.append(l)
+        counts.append(c)
         bounds.append(bounds[-1] + flen)
         p += flen
-    return Factorization(factors, n, text.alphabet_size)
+    return Factorization.from_lists(starts, counts, n, text.alphabet_size)

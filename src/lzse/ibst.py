@@ -68,9 +68,6 @@ class Ibst:
             x = self.left[x] if v < x else self.right[x]
         return x
 
-    def interval(self, i: int) -> tuple[int, int]:
-        return self.boundaries[i], self.boundaries[i + 1]
-
     def _descend(self, v: int, q: int) -> tuple[int, int]:
         b = self.boundaries
         visits = 0
@@ -111,9 +108,6 @@ class Ibst:
 
     def precompute_hints(self, ranges) -> list[Hint]:
         return [self.hint_for(i, j) for i, j in ranges]
-
-    def search_with_hint(self, hint: Hint, q: int) -> int:
-        return self.search_with_hint_counted(hint, q)[0]
 
     def search_with_hint_counted(self, hint: Hint, q: int) -> tuple[int, int]:
         """Hint-accelerated search; q must lie inside the hint's range."""

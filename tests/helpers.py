@@ -22,6 +22,7 @@ import numpy as np
 from lzse.baselines import Lz77Factor, LzssFactor
 from lzse.factorization import (Char, Copy, Factorization, FactorizationError,
                                 decode)
+from lzse.generators import OrspInstance
 from lzse.grammar import Cfg, GrammarError
 from lzse.ibst import Hint, Ibst
 from lzse.suffixindex import RangeArgMin, SuffixIndex, build_suffix_index
@@ -224,10 +225,10 @@ def jump(fact: Factorization, i: int, r: int) -> tuple[int, int]:
 def access_naive(fact: Factorization, p: int) -> int:
     """Symbol at 1-based position p by following the jump sequence."""
     i, r = rel(fact, p)
-    f = fact.factors[i - 1]
+    f = fact.factor(i)
     while isinstance(f, Copy):
         i, r = jump(fact, i, r)
-        f = fact.factors[i - 1]
+        f = fact.factor(i)
     return f.symbol
 
 
@@ -284,6 +285,22 @@ def random_valid_factorization(rng: random.Random, max_z: int = 60,
             r = rng.randint(l, min(k, l + 7))
             factors.append(Copy(l, r - l + 1))
     return Factorization(factors)
+
+
+def orsp_instance(m: int, queries) -> OrspInstance:
+    """The ORSP instance of ``gen_orsp``'s layout over the given queries,
+    each of which must satisfy 1 <= l <= r <= m."""
+    queries = [tuple(q) for q in queries]
+    if len(queries) != m:
+        raise ValueError(f"expected {m} queries, got {len(queries)}")
+    tokens = list(range(m))
+    for i, (l, r) in enumerate(queries):
+        if not 1 <= l <= r <= m:
+            raise ValueError(f"query ({l}, {r}) out of range 1..{m}")
+        tokens.append(m + i)
+        tokens.extend(range(l - 1, r))
+    tokens.append(2 * m)
+    return OrspInstance(m, queries, Text(tokens, alphabet_size=2 * m + 1))
 
 
 def random_text(rng: random.Random, n: int, sigma: int) -> Text:

@@ -225,10 +225,20 @@ def test_access_rejects_out_of_range():
 
 
 def test_build_rejects_invalid():
-    fact = Factorization([Char(97), Copy(1, 1)])
-    fact.factors = [Char(97), Copy(2, 1)]  # corrupt past the constructor
+    # an invalid factorization never reaches the index: both entry points
+    # reject it, and a built one cannot be corrupted past the constructor
     with pytest.raises(ValueError, match="forward reference"):
-        build_access_index(fact)
+        build_access_index(Factorization([Char(97), Copy(2, 1)]))
+    with pytest.raises(ValueError, match="forward reference"):
+        build_access_index(Factorization.from_lists([0, 2], [97, 1]))
+    fact = Factorization([Char(97), Copy(1, 1)])
+    with pytest.raises(AttributeError):
+        fact.factors = [Char(97), Copy(2, 1)]
+    with pytest.raises(AttributeError):
+        fact.start = (0, 2)
+    with pytest.raises(TypeError):
+        fact.start[1] = 2
+    assert build_access_index(fact).access(2) == 97
 
 
 def test_extract():

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzse import archive
 from lzse.access import build_access_index
 from lzse.archive import (ArchiveError, deserialize, read_token_text,
                           read_varint, serialize, write_token_text, write_varint)
@@ -129,7 +128,7 @@ def _chars(token: bool, count: int) -> tuple[list, list[Char]]:
 
 
 @pytest.mark.parametrize("token", [False, True], ids=["byte", "token"])
-def test_record_fields_roundtrip(token, monkeypatch):
+def test_record_fields_roundtrip(token):
     items, chars = _chars(token, PREFIX)
     i = PREFIX + 1
     alphabet = TOKEN_ALPHABET if token else 256
@@ -146,14 +145,15 @@ def test_record_fields_roundtrip(token, monkeypatch):
         elif v <= PREFIX:
             blob = _build(token, [PREFIX + v, i] + items + [v, PREFIX])[0]
             check_roundtrip(blob, [Copy(1, v)])
-        # larger counts are forward references: compare the records as they
-        # leave the reader, before the structural check
-        if v:
-            with monkeypatch.context() as m:
-                m.setattr(archive, "Factorization",
-                          lambda factors, n, alphabet_size: factors)
-                blob = _build(token, [0, i] + items + [v, PREFIX])[0]
-                assert deserialize(blob)[-1] == Copy(1, v)
+        # larger counts are forward references, and the error names the
+        # count as the reader decoded it
+        if v > PREFIX:
+            blob, spans = _build(token, [0, i] + items + [v, PREFIX])
+            with pytest.raises(ArchiveError) as err:
+                deserialize(blob)
+            assert str(err.value) == (f"factor {i}: forward reference, count {v} "
+                                      f"above back-distance {PREFIX} "
+                                      f"(at byte {spans[-2][0]})")
 
         # back-distance field: Copy(i - v, 1)
         blob, spans = _build(token, [PREFIX + 1, i] + items + [1, v])
@@ -191,6 +191,18 @@ def test_record_truncation_matches_read_varint(token):
                             == _error(read_varint, blob[:cut], start))
                     cuts += 1
     assert cuts > 200
+
+
+@pytest.mark.parametrize("token", [False, True], ids=["byte", "token"])
+def test_forward_reference_reports_record_offset(token):
+    # n=3, z=3: two chars, then a copy of 3 factors from factor 1 (d = 2)
+    items = [3, 3] + [0, 97 if token else b"a", 0, 98 if token else b"b"] + [3, 2]
+    blob, spans = _build(token, items)
+    record_at = spans[-2][0]
+    with pytest.raises(ArchiveError) as err:
+        deserialize(blob)
+    assert err.value.offset == record_at
+    assert "factor 3: forward reference" in str(err.value)
 
 
 def test_noncanonical_back_distance_rejected():

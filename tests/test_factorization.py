@@ -46,6 +46,13 @@ def test_validate_forward_reference():
         Factorization([Char(97), Copy(2, 1)])
     with pytest.raises(FactorizationError, match="forward reference"):
         Factorization([Char(97), Copy(1, 2)])
+    # a char factor has start 0, so a copy from factor 0 must not pass as one
+    with pytest.raises(FactorizationError, match="non-positive copy fields"):
+        Factorization([Char(97), Copy(0, 1)])
+    with pytest.raises(FactorizationError, match="non-positive copy fields"):
+        Factorization.from_lists([0, -1], [97, 1])
+    with pytest.raises(FactorizationError, match="negative symbol"):
+        Factorization.from_lists([0], [-1])
 
 
 def test_validate_source_mismatch():

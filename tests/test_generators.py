@@ -8,29 +8,32 @@ from lzse.generators import (gen_lower_bound_family, gen_orsp, gen_periodic,
 from lzse.greedy import greedy_factorize
 from lzse.text import Text
 
+from helpers import orsp_instance
+
 
 def test_orsp_template_small():
-    inst = gen_orsp(2, [(1, 2), (2, 2)])
+    inst = orsp_instance(2, [(1, 2), (2, 2)])
     assert tuple(inst.text.symbols) == (0, 1, 2, 0, 1, 3, 1, 4)
     assert len(inst.text) == 8
     assert inst.text.alphabet_size == 5
 
 
 def test_orsp_minimal():
-    inst = gen_orsp(1, [(1, 1)])
+    inst = orsp_instance(1, [(1, 1)])
     assert tuple(inst.text.symbols) == (0, 1, 0, 2)
 
 
 def test_orsp_seeded_greedy_count():
     inst = gen_orsp(3, seed=7)
     assert greedy_factorize(inst.text).z == 10  # 3m + 1
+    assert inst.text == orsp_instance(3, inst.queries).text
 
 
 def test_orsp_rejects_bad_queries():
     with pytest.raises(ValueError):
-        gen_orsp(2, [(1, 3), (1, 1)])
+        orsp_instance(2, [(1, 3), (1, 1)])
     with pytest.raises(ValueError):
-        gen_orsp(2, [(2, 1), (1, 1)])
+        orsp_instance(2, [(2, 1), (1, 1)])
     with pytest.raises(ValueError):
         gen_orsp(0)
 
@@ -88,6 +91,11 @@ def test_simple_generators():
     assert gen_unary(0) == Text.from_str("")
     assert gen_periodic("ab", 3) == Text.from_str("ababab")
     assert gen_periodic("ab", 0) == Text.from_str("")
+    tokens = gen_periodic([1, 300], 2)
+    assert tokens == Text.from_tokens([1, 300, 1, 300]) and not tokens.is_byte_mode
+    assert gen_periodic([1, 300], 0) == Text.from_str("")
+    draws = random.Random(5)
+    assert gen_random(64, 300, 5) == Text.from_tokens([draws.randrange(300) for _ in range(64)])
     assert gen_random(100, 2, 42) == gen_random(100, 2, 42)
     assert gen_random(100, 2, 42) != gen_random(100, 2, 43)
     assert set(gen_random(500, 3, 7).symbols) == {0, 1, 2}

@@ -10,7 +10,7 @@ from lzse.grammar import (Cfg, GrammarError, Slp, cfg_to_slp, expand,
 from lzse.generators import gen_orsp, gen_periodic
 from lzse.text import Text
 
-from helpers import random_text, repair_compress_reference
+from helpers import orsp_instance, random_text, repair_compress_reference
 from test_acceptance import zipf_words_pattern
 
 A, B, S, X, Y = 300, 301, 302, 303, 304
@@ -238,7 +238,7 @@ def direct_answers(inst, op, lift):
 
 
 def test_orsp_small_example():
-    inst = gen_orsp(2, [(1, 2), (2, 2)])
+    inst = orsp_instance(2, [(1, 2), (2, 2)])
     slp = cfg_to_slp(repair_compress(inst.text))
     res = orsp_solve_from_slp(slp, inst.is_delimiter, lambda a, b: a + b,
                               lambda s: s + 1)
@@ -247,7 +247,7 @@ def test_orsp_small_example():
 
 
 def test_orsp_concat_recovers_substrings():
-    inst = gen_orsp(3, [(1, 3), (2, 2), (1, 1)])
+    inst = orsp_instance(3, [(1, 3), (2, 2), (1, 1)])
     slp = cfg_to_slp(repair_compress(inst.text))
     res = orsp_solve_from_slp(slp, inst.is_delimiter, lambda a, b: a + b,
                               lambda s: (s,))

@@ -97,11 +97,12 @@ def test_leftmost_source_starts_with_extended_factor():
     for _ in range(40):
         t = random_text(rng, rng.randint(2, 160), 2)
         f = greedy_factorize_oracle(t)
+        factors = f.factors
         for k in range(1, f.z + 1):
             fk = f.factor(k)
             if not isinstance(fk, Copy):
                 continue
-            prefix = Factorization(f.factors[:k - 1])
+            prefix = Factorization(factors[:k - 1])
             ext = {i: length for i, length in compute_extended_factors(prefix, t)}
             i = fk.start
             assert i in ext, (t.symbols, k)
@@ -169,7 +170,7 @@ def _reference_families():
     yield "thue-morse", Text.from_bytes(_thue_morse(1 << 16))
     yield "runs", Text.from_bytes(b"".join(b"a" * k + b"b" for k in range(1, 300)))
     yield "unary", gen_unary(1 << 16)
-    yield "unary-zero", gen_unary(1 << 12, symbol=0)
+    yield "unary-zero", Text(bytes(1 << 12))
     yield "random-4", gen_random(1 << 14, 4, 3)
     yield "random-2", gen_random(1 << 15, 2, 3)
     yield "lower-bound-9", gen_lower_bound_family(9).text

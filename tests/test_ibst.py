@@ -8,14 +8,18 @@ from lzse.ibst import Ibst
 from helpers import hint_for_reference
 
 
+def interval(t: Ibst, i: int) -> tuple[int, int]:
+    return t.boundaries[i], t.boundaries[i + 1]
+
+
 def test_construction_example():
     t = Ibst([1, 2, 3, 5, 8, 12])
-    assert t.interval(t.root) == (5, 8)
+    assert interval(t, t.root) == (5, 8)
     left = t.left[t.root]
-    assert t.interval(left) == (3, 5)
-    assert t.interval(t.left[left]) == (2, 3)
-    assert t.interval(t.left[t.left[left]]) == (1, 2)
-    assert t.interval(t.right[t.root]) == (8, 12)
+    assert interval(t, left) == (3, 5)
+    assert interval(t, t.left[left]) == (2, 3)
+    assert interval(t, t.left[t.left[left]]) == (1, 2)
+    assert interval(t, t.right[t.root]) == (8, 12)
 
 
 def test_construction_single_interval():
@@ -26,10 +30,10 @@ def test_construction_single_interval():
 
 def test_construction_second_example():
     t = Ibst([0, 2, 3, 8])
-    assert t.interval(t.root) == (3, 8)
+    assert interval(t, t.root) == (3, 8)
     left = t.left[t.root]
-    assert t.interval(left) == (0, 2)
-    assert t.interval(t.right[left]) == (2, 3)
+    assert interval(t, left) == (0, 2)
+    assert interval(t, t.right[left]) == (2, 3)
 
 
 def test_rejects_bad_boundaries():
@@ -60,8 +64,8 @@ def test_hint_examples():
     single = t.hint_for(2, 3)
     assert single.center == 2 and single.left is None and single.right is None
     h = t.hint_for(0, 3)  # intervals 0..2, boundary range [1, 5)
-    assert t.interval(h.center) == (3, 5)
-    assert t.interval(h.left) == (2, 3)
+    assert interval(t, h.center) == (3, 5)
+    assert interval(t, h.left) == (2, 3)
     assert h.right is None
 
 
@@ -74,9 +78,9 @@ def test_hinted_search_examples():
     idx, visits = t.search_with_hint_counted(h, 3)
     assert idx == 2 and visits == 1
     single = t.hint_for(2, 3)
-    assert t.search_with_hint(single, 4) == 2
+    assert t.search_with_hint_counted(single, 4)[0] == 2
     with pytest.raises(ValueError):
-        t.search_with_hint(h, 8)
+        t.search_with_hint_counted(h, 8)
 
 
 def test_hint_range_validation():
