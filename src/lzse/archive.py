@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from typing import BinaryIO
 
 from .factorization import Factorization, FactorizationError
 from .text import BYTE_ALPHABET, TOKEN_ALPHABET, Text
@@ -158,7 +159,9 @@ def deserialize(data: bytes) -> Factorization:
 TOKEN_MAGIC = b"LZTK"
 
 
-def write_token_text(text: Text) -> bytes:
+def write_token_text(fh: BinaryIO, text: Text) -> None:
+    """Write ``text`` as a token text to the binary file ``fh``; the tokens
+    go out straight from the text's buffer, not through a joined copy."""
     head = bytearray(TOKEN_MAGIC)
     head.append(1)
     write_varint(head, len(text))
@@ -166,7 +169,8 @@ def write_token_text(text: Text) -> bytes:
     if sys.byteorder == "big":
         tokens = array("I", tokens)
         tokens.byteswap()
-    return b"".join((head, tokens))
+    fh.write(head)
+    fh.write(tokens)
 
 
 def read_token_text(data: bytes) -> Text:
@@ -181,4 +185,4 @@ def read_token_text(data: bytes) -> Text:
     tokens.frombytes(memoryview(data)[pos:])
     if sys.byteorder == "big":
         tokens.byteswap()
-    return Text(tokens, TOKEN_ALPHABET)
+    return Text._adopt(tokens, TOKEN_ALPHABET)

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import archive
-from .access import build_access_index
+from .access import access, extract
 from .baselines import METHODS, size_report
 from .factorization import Factorization, decode, validate
 from .grammar import grammar_to_lzse, repair_compress
@@ -23,9 +23,9 @@ from . import generators
 # RSS of `lzse decompress` at 2^24 symbols (CPython 3.11, x86-64 Linux), over
 # the 16 MiB that `import lzse.cli` takes: 2 bytes per symbol in byte mode,
 # 8 in token mode.  So 2^26 symbols peak near 144 MiB and 530 MiB: 64 times
-# the largest benchmark corpus (1 MiB).  extract holds the same Text and
-# spends one access per symbol.  gen fills the Text's buffer directly, and at
-# 2^22 symbols peaks at 1 byte per symbol (lower-bound 2, token mode 8).
+# the largest benchmark corpus (1 MiB).  extract holds its own range the
+# same way.  gen hands its buffer to the Text without a copy, and at 2^22
+# symbols peaks at 1 byte per symbol (lower-bound 2, token mode 4).
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 
 
@@ -43,9 +43,11 @@ def _read_archive(path: str) -> Factorization:
 
 
 def _write_text(path: str, text: Text) -> None:
-    data = text.to_bytes() if text.is_byte_mode else archive.write_token_text(text)
     with open(path, "wb") as fh:
-        fh.write(data)
+        if text.is_byte_mode:
+            fh.write(text.to_bytes())
+        else:
+            archive.write_token_text(fh, text)
 
 
 def _cmd_compress(args) -> int:
@@ -75,8 +77,7 @@ def _cmd_decompress(args) -> int:
 
 def _cmd_access(args) -> int:
     fact = _read_archive(args.input)
-    ix = build_access_index(fact)
-    sym = ix.access(args.position)
+    sym = access(fact, args.position)
     if fact.alphabet_size <= 256 and 32 <= sym < 127:
         print(chr(sym))
     else:
@@ -90,8 +91,7 @@ def _cmd_extract(args) -> int:
     if count > MAX_DECOMPRESS_SYMBOLS:
         raise ValueError(f"extract of {count} symbols is above the limit of "
                          f"{MAX_DECOMPRESS_SYMBOLS}")
-    ix = build_access_index(fact)
-    part = ix.extract(args.left, args.right)
+    part = extract(fact, args.left, args.right)
     if part.is_byte_mode:
         sys.stdout.buffer.write(part.to_bytes())
         sys.stdout.buffer.write(b"\n")

@@ -97,7 +97,7 @@ def gen_random(n: int, sigma: int, seed: int) -> Text:
     draws = (rng.randrange(sigma) for _ in range(n))
     if sigma <= BYTE_ALPHABET:
         return Text(bytes(draws))
-    return Text(array("I", draws), TOKEN_ALPHABET)
+    return Text._adopt(array("I", draws), TOKEN_ALPHABET)
 
 
 def gen_periodic(pattern, reps: int) -> Text:
@@ -107,4 +107,6 @@ def gen_periodic(pattern, reps: int) -> Text:
         pattern = pattern.encode("latin-1")
     if alphabet_for(pattern) == BYTE_ALPHABET:
         return Text(bytes(pattern) * reps)
-    return Text(array("I", pattern) * reps, TOKEN_ALPHABET if reps else BYTE_ALPHABET)
+    if not reps:
+        return Text(b"")
+    return Text._adopt(array("I", pattern) * reps, TOKEN_ALPHABET)

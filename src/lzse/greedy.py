@@ -4,8 +4,9 @@ Both parsers scan left to right and take the longest prefix of the unparsed
 suffix that equals a contiguous run of existing factors, breaking length
 ties by the leftmost source start.  When no run matches, a char factor is
 emitted.  The two implementations must agree factor-for-factor, sources
-included; the oracle enumerates every candidate start, the practical parser
-only the starts marked in the extended-factor trie.
+included; the oracle enumerates every factor start whose first symbol
+matches, the practical parser only the starts marked in the extended-factor
+trie.
 
 The practical parser needs no index.  It holds the text once as a flat
 buffer (one byte per symbol in byte mode, four in token mode), and every
@@ -181,22 +182,26 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
 
 
 def greedy_factorize_oracle(text: Text) -> Factorization:
-    """Reference greedy parser trying every existing factor as a source start.
+    """Reference greedy parser trying every factor start that can match.
 
     Quadratic per step and index-free: match lengths come from direct symbol
-    comparison.  Used to pin down the practical parser's output exactly.
+    comparison.  Only factors whose first symbol is the next one are tried,
+    from per-symbol lists in index order; any other start matches nothing,
+    so it could not beat or tie a candidate.  Used to pin down the practical
+    parser's output exactly.
     """
     n = len(text)
     syms = text.symbols
     starts: list[int] = []
     counts: list[int] = []
     bounds = [1]
+    by_first: dict[int, list[int]] = {}  # first symbol -> factor indices
     p = 0
     while p < n:
         best_len = 0
         best_pos = n + 2
         best_start = best_end = 0
-        for fi in range(1, len(starts) + 1):
+        for fi in by_first.get(syms[p], ()):
             fpos = bounds[fi - 1]
             cap = p - fpos + 1
             d = 0
@@ -219,5 +224,6 @@ def greedy_factorize_oracle(text: Text) -> Factorization:
         starts.append(l)
         counts.append(c)
         bounds.append(bounds[-1] + flen)
+        by_first.setdefault(syms[p], []).append(len(starts))
         p += flen
     return Factorization.from_lists(starts, counts, n, text.alphabet_size)

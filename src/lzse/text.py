@@ -48,6 +48,18 @@ class Text:
         raise AttributeError("Text is immutable")
 
     @classmethod
+    def _adopt(cls, symbols, alphabet_size: int) -> "Text":
+        """Text over a buffer that its maker hands over and never touches
+        again: ``bytes`` in byte mode, ``array('I')`` in token mode, with
+        every symbol already below ``alphabet_size``.  Nothing is copied or
+        checked, so a buffer that a caller keeps goes through ``Text()``.
+        """
+        text = object.__new__(cls)
+        object.__setattr__(text, "symbols", symbols)
+        object.__setattr__(text, "alphabet_size", alphabet_size)
+        return text
+
+    @classmethod
     def from_bytes(cls, data: bytes) -> "Text":
         return cls(data, BYTE_ALPHABET)
 

@@ -6,7 +6,9 @@ counting by exhaustive enumeration, heavy edges by scanning each copy's
 source, Re-Pair by full numpy rescans of the sequence in every round,
 LZ77/LZSS by two nearest-smaller-position passes plus range-minimum LCP
 queries and decoded symbol by symbol, greedy LZSE from a per-symbol trie
-plus the same LCP queries, IBST hints from three root-path LCA descents,
+plus the same LCP queries, greedy LZSE from every earlier factor start
+(``greedy_factorize_oracle_all_starts``), IBST hints from three root-path
+LCA descents,
 random access by following the paper's jump function one factor at a
 time, extended factors straight from their definition, and
 random-but-valid factorizations built factor by factor.
@@ -19,6 +21,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from lzse import access as access_module
 from lzse.baselines import Lz77Factor, LzssFactor
 from lzse.factorization import (Char, Copy, Factorization, FactorizationError,
                                 decode)
@@ -285,6 +288,26 @@ def random_valid_factorization(rng: random.Random, max_z: int = 60,
             r = rng.randint(l, min(k, l + 7))
             factors.append(Copy(l, r - l + 1))
     return Factorization(factors)
+
+
+def deep_chain(z: int) -> Factorization:
+    """a, then z - 1 one-symbol copies each of the factor before: position p
+    is reached by a chain of p - 1 jumps."""
+    return Factorization([Char(97)] + [Copy(i, 1) for i in range(1, z)])
+
+
+def record_index_builds(monkeypatch) -> list:
+    """Factorizations that the one-shot reads of ``lzse.access`` build an
+    index for, in order, from now until the monkeypatch is undone."""
+    built = []
+    real = access_module.build_access_index
+
+    def build(fact):
+        built.append(fact)
+        return real(fact)
+
+    monkeypatch.setattr(access_module, "build_access_index", build)
+    return built
 
 
 def orsp_instance(m: int, queries) -> OrspInstance:
@@ -600,3 +623,47 @@ def greedy_factorize_reference(text: Text,
             flo = bounds[k - 1] - 1
             insert(flo, bounds[k] - 1, (k, flo + 1))
     return Factorization(factors, n, text.alphabet_size)
+
+
+def greedy_factorize_oracle_all_starts(text: Text) -> Factorization:
+    """Reference greedy parser trying every existing factor as a source start.
+
+    Quadratic per step and index-free: match lengths come from direct symbol
+    comparison.  Pins ``greedy_factorize_oracle``, which tries only the
+    starts whose first symbol matches.
+    """
+    n = len(text)
+    syms = text.symbols
+    starts: list[int] = []
+    counts: list[int] = []
+    bounds = [1]
+    p = 0
+    while p < n:
+        best_len = 0
+        best_pos = n + 2
+        best_start = best_end = 0
+        for fi in range(1, len(starts) + 1):
+            fpos = bounds[fi - 1]
+            cap = p - fpos + 1
+            d = 0
+            base = fpos - 1
+            while d < cap and p + d < n and syms[p + d] == syms[base + d]:
+                d += 1
+            j = bisect_right(bounds, fpos + d) - 1
+            if j < fi:
+                continue
+            cand = bounds[j] - fpos
+            if cand > best_len or (cand == best_len and fpos < best_pos):
+                best_len = cand
+                best_pos = fpos
+                best_start = fi
+                best_end = j
+        if best_len == 0:  # a char factor
+            l, c, flen = 0, syms[p], 1
+        else:
+            l, c, flen = best_start, best_end - best_start + 1, best_len
+        starts.append(l)
+        counts.append(c)
+        bounds.append(bounds[-1] + flen)
+        p += flen
+    return Factorization.from_lists(starts, counts, n, text.alphabet_size)

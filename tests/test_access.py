@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from lzse.access import build_access_index
+from lzse.access import JUMP_FACTOR, access, build_access_index, extract, jump_budget
 from lzse.factorization import Char, Copy, Factorization, decode
 from lzse.generators import gen_lower_bound_family
 from lzse.grammar import grammar_to_lzse, repair_compress
 from lzse.greedy import greedy_factorize
 from lzse.text import Text
 
-from helpers import (access_naive, block_repetitive, random_text,
-                     random_valid_factorization)
+from helpers import (access_naive, block_repetitive, deep_chain, random_text,
+                     random_valid_factorization, record_index_builds)
 
 ABAB = Factorization([Char(97), Char(98), Copy(1, 2), Copy(3, 1)])
 FIG = Factorization([Char(97), Char(98), Copy(1, 2), Copy(2, 2), Copy(1, 3)])
@@ -322,3 +322,82 @@ def test_source_hints_shared_per_range():
         a, b = totals.get(family, (0, 0))
         totals[family] = (a + nodes, b + hints)
     assert totals == FOOTPRINTS
+
+
+def test_jump_budget_pinned():
+    # B = 4 * ceil(lg(n + 1)); CHANGES.md gives the argument for the factor
+    assert JUMP_FACTOR == 4
+    assert [jump_budget(n) for n in (0, 1, 2, 3, 4, 10 ** 4, 1 << 20, 1 << 69)] == \
+        [0, 4, 8, 8, 12, 56, 84, 280]
+
+
+def _one_shot_families():
+    rng = random.Random(18)
+    tokens = [0, 300, (1 << 31) + 5, (1 << 32) - 1]
+    for _ in range(12):
+        t = random_text(rng, rng.randint(1, 600), rng.choice([2, 4, 26]))
+        yield greedy_factorize(t)
+        yield grammar_to_lzse(repair_compress(t))
+        tok = Text.from_tokens(tokens[s % 4] for s in t)
+        yield greedy_factorize(tok)
+        yield grammar_to_lzse(repair_compress(tok), alphabet_size=tok.alphabet_size)
+    yield greedy_factorize(block_repetitive(18, 1 << 14))
+    yield gen_lower_bound_family(5).alternative
+    for _ in range(20):
+        yield random_valid_factorization(rng, max_z=40)
+
+
+def test_one_shot_reads_match_decode(monkeypatch):
+    # none of these chains passes the budget, so no index is built
+    built = record_index_builds(monkeypatch)
+    rng = random.Random(81)
+    for fact in _one_shot_families():
+        text = decode(fact)
+        n = fact.n
+        for p in [1, n] + [rng.randint(1, n) for _ in range(40)]:
+            assert access(fact, p) == text[p - 1]
+        for _ in range(20):
+            lo = rng.randint(1, n)
+            hi = rng.randint(lo, n)
+            part = extract(fact, lo, hi)
+            assert part == Text(text.symbols[lo - 1:hi], fact.alphabet_size)
+            assert part.alphabet_size == fact.alphabet_size
+        assert extract(fact, 1, n) == text
+    assert built == []
+
+
+def test_deep_chain_takes_the_fallback(monkeypatch):
+    # position p sits p - 1 jumps deep; past B the index is built once and
+    # answers from where the chain stopped
+    fact = deep_chain(10 ** 4)
+    b = jump_budget(fact.n)
+    built = record_index_builds(monkeypatch)
+    assert access(fact, b + 1) == 97 and built == []
+    assert access(fact, b + 2) == 97 and built == [fact]
+    assert access(fact, fact.n) == 97 and len(built) == 2
+    # the rest of an extract slices what it emitted; one build serves a call
+    del built[:]
+    assert extract(fact, b + 2, fact.n) == Text(b"a" * (fact.n - b - 1))
+    assert built == [fact]
+    assert extract(fact, 1, b + 1) == Text(b"a" * (b + 1)) and len(built) == 1
+    # two interleaved chains: the fallback must keep each position's symbol
+    fact = Factorization([Char(97), Char(98)] + [Copy(i, 1) for i in range(1, 3000)])
+    text = decode(fact)
+    del built[:]
+    for p in (fact.n - 1, fact.n, 2 * jump_budget(fact.n) + 3):
+        assert access(fact, p) == text[p - 1]
+    assert len(built) == 3
+    assert extract(fact, 1000, 1100) == Text(text.symbols[999:1100])
+    ix = build_access_index(fact)
+    assert ix.extract(1000, 2999) == Text(text.symbols[999:2999])
+
+
+def test_one_shot_reads_reject_out_of_range():
+    for fact in (ABAB, Factorization([])):
+        n = fact.n
+        for p in (0, -1, n + 1):
+            with pytest.raises(ValueError, match=f"position {p} out of range 1..{n}"):
+                access(fact, p)
+        for lo, hi in ((0, 2), (3, 2), (1, n + 1)):
+            with pytest.raises(ValueError, match=fr"range \[{lo}, {hi}\] out of bounds"):
+                extract(fact, lo, hi)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,8 @@ from lzse.cli import main
 from lzse.factorization import Char, Copy, Factorization
 from lzse.grammar import GrammarError
 from lzse.text import Text
+
+from helpers import deep_chain, record_index_builds
 
 
 @pytest.fixture
@@ -40,6 +43,71 @@ def test_access_and_extract(sample, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "bab"
 
 
+@pytest.mark.parametrize("token", [False, True], ids=["bytes", "tokens"])
+@pytest.mark.parametrize("method", ["greedy", "repair-se"])
+def test_access_and_extract_match_decode(method, token, tmp_path, capsysbinary,
+                                         monkeypatch):
+    rng = random.Random(f"{method}-{token}")
+    pool = [[rng.randrange(256) for _ in range(rng.randint(1, 40))] for _ in range(12)]
+    symbols = [s for _ in range(150) for s in rng.choice(pool)]
+    src = tmp_path / "in"
+    if token:
+        symbols = [s * 16_777_259 % (1 << 32) for s in symbols]
+        with open(src, "wb") as fh:
+            archive.write_token_text(fh, Text.from_tokens(symbols))
+    else:
+        src.write_bytes(bytes(symbols))
+    arc = str(tmp_path / "in.lzse")
+    assert main(["compress", str(src), "--method", method, "-o", arc]) == 0
+    assert main(["decompress", arc, "-o", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_bytes() == src.read_bytes()
+    capsysbinary.readouterr()
+    built = record_index_builds(monkeypatch)
+    n = len(symbols)
+    for p in [1, n] + [rng.randint(1, n) for _ in range(30)]:
+        assert main(["access", arc, "-p", str(p)]) == 0
+        sym = symbols[p - 1]
+        line = chr(sym) if not token and 32 <= sym < 127 else str(sym)
+        assert capsysbinary.readouterr().out == line.encode() + b"\n"
+    for _ in range(30):
+        lo = rng.randint(1, n)
+        hi = rng.randint(lo, min(n, lo + 600))
+        assert main(["extract", arc, "-l", str(lo), "-r", str(hi)]) == 0
+        part = symbols[lo - 1:hi]
+        expected = (" ".join(map(str, part)).encode() if token else bytes(part)) + b"\n"
+        assert capsysbinary.readouterr().out == expected
+    assert built == []
+
+
+def test_deep_chain_access_and_extract_take_the_fallback(tmp_path, capsys, monkeypatch):
+    # position p is p - 1 jumps deep, far past B = 56 at n = 10^4
+    arc = tmp_path / "chain.lzse"
+    arc.write_bytes(archive.serialize(deep_chain(10 ** 4)))
+    built = record_index_builds(monkeypatch)
+    assert main(["access", str(arc), "-p", "10000"]) == 0
+    assert capsys.readouterr().out == "a\n"
+    assert len(built) == 1
+    assert main(["extract", str(arc), "-l", "9000", "-r", "10000"]) == 0
+    assert capsys.readouterr().out == "a" * 1001 + "\n"
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("args, err", [
+    (["access", "-p", "0"], "position 0 out of range 1..11"),
+    (["access", "-p", "12"], "position 12 out of range 1..11"),
+    (["access", "-p", "-3"], "position -3 out of range 1..11"),
+    (["extract", "-l", "0", "-r", "3"], "range [0, 3] out of bounds 1..11"),
+    (["extract", "-l", "5", "-r", "4"], "range [5, 4] out of bounds 1..11"),
+    (["extract", "-l", "1", "-r", "12"], "range [1, 12] out of bounds 1..11"),
+])
+def test_read_commands_out_of_range_exit_2(args, err, sample, tmp_path, capsys):
+    arc = str(tmp_path / "out.lzse")
+    assert main(["compress", str(sample), "-o", arc]) == 0
+    capsys.readouterr()
+    assert main([args[0], arc, *args[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_verify(sample, tmp_path, capsys):
     arc = tmp_path / "out.lzse"
     main(["compress", str(sample), "-o", str(arc)])
@@ -60,7 +128,8 @@ def test_repair_se_method(sample, tmp_path):
 def test_repair_se_method_token_file(tmp_path):
     tok = tmp_path / "in.tok"
     symbols = [7, (1 << 31) + 5, (1 << 32) - 1, 0] * 6 + [(1 << 31) + 5]
-    tok.write_bytes(archive.write_token_text(Text.from_tokens(symbols)))
+    with open(tok, "wb") as fh:
+        archive.write_token_text(fh, Text.from_tokens(symbols))
     arc = tmp_path / "r.lzse"
     out = tmp_path / "r.tok"
     assert main(["compress", str(tok), "--method", "repair-se", "-o", str(arc)]) == 0

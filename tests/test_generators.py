@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -6,7 +7,7 @@ from lzse.factorization import Copy, decode, validate
 from lzse.generators import (gen_lower_bound_family, gen_orsp, gen_periodic,
                              gen_random, gen_unary)
 from lzse.greedy import greedy_factorize
-from lzse.text import Text
+from lzse.text import TOKEN_ALPHABET, Text
 
 from helpers import orsp_instance
 
@@ -99,7 +100,20 @@ def test_simple_generators():
     assert gen_random(100, 2, 42) == gen_random(100, 2, 42)
     assert gen_random(100, 2, 42) != gen_random(100, 2, 43)
     assert set(gen_random(500, 3, 7).symbols) == {0, 1, 2}
+    assert gen_periodic([1, 300], 0).is_byte_mode
     with pytest.raises(ValueError):
         gen_unary(-1)
     with pytest.raises(ValueError):
         gen_random(10, 0, 1)
+
+
+def test_token_buffers_handed_over_once():
+    # a generator hands its own array to the Text; an array that a caller
+    # keeps is copied, so changing it later cannot change the Text
+    text = gen_random(64, 300, 5)
+    assert type(text.symbols) is array and text.alphabet_size == TOKEN_ALPHABET
+    mine = array("I", [1, 300, 7])
+    kept = Text(mine, TOKEN_ALPHABET)
+    assert kept.symbols is not mine
+    mine[0] = 9
+    assert kept == Text.from_tokens([1, 300, 7])

@@ -11,7 +11,8 @@ from lzse.text import Text
 
 from helpers import (all_binary_texts, block_repetitive, compute_extended_factors,
                      extended_factor_strings, factor_string,
-                     greedy_factorize_reference, random_text)
+                     greedy_factorize_oracle_all_starts, greedy_factorize_reference,
+                     random_text)
 from test_acceptance import zipf_words_pattern
 
 
@@ -49,6 +50,18 @@ def test_unary_growth_is_logarithmic():
     for k in range(0, 13):
         f = greedy_factorize(Text.from_str("a" * (1 << k)))
         assert f.z == k + 1
+
+
+def test_oracle_first_symbol_filter_is_exact():
+    # the oracle tries only starts whose first symbol matches; on criterion
+    # 1's texts it must agree with the oracle that tries every start
+    texts = list(all_binary_texts(12))
+    assert len(texts) == 8190
+    rng = random.Random(4242)
+    texts += [random_text(rng, rng.randint(1, 2000), rng.choice([2, 4, 16]))
+              for _ in range(500)]
+    for t in texts:
+        assert greedy_factorize_oracle(t) == greedy_factorize_oracle_all_starts(t), t.symbols
 
 
 def test_exhaustive_binary_up_to_10():
