@@ -38,7 +38,7 @@ from typing import Callable
 from .dag import compute_path_counts, heavy_paths, select_heavy_edges
 from .factorization import Factorization
 from .ibst import Hint, Ibst
-from .text import BYTE_ALPHABET, Text
+from .text import BYTE_ALPHABET, TOKEN_ALPHABET, Text
 
 # B / ceil(lg(n + 1)): the jumps a one-shot query follows before it builds
 # the index.  Over 20,000 random positions, the deepest chain of a greedy
@@ -306,4 +306,6 @@ def _expand(fact: Factorization, lo: int, hi: int, ix: AccessIndex | None) -> Te
                 f += 1
     except OverflowError as ex:
         raise ValueError(f"char symbol out of range for alphabet {fact.alphabet_size}") from ex
+    if fact.alphabet_size == TOKEN_ALPHABET:
+        return Text._adopt(out, TOKEN_ALPHABET)
     return Text(out, fact.alphabet_size)

@@ -269,12 +269,13 @@ def size_report(methods, text: Text) -> dict:
     report keeps separate so source/length/next_char columns can be read
     off directly.  A repeated method is computed and reported once.
 
-    Re-Pair takes most of the time (about 1.1 s of a 256 KiB zipf-words
-    text, against about 0.9 s for the suffix index, lz77, lzss and greedy
-    together) and nothing else waits on it.  So where os.fork exists and
-    other methods are asked for too, Re-Pair runs in one forked child while
-    this process computes the rest; `lzse stats` then takes about 1.4 s
-    instead of 2.2 s on that text (2-CPU VM).  The fork comes before the
+    Re-Pair takes about as long as the rest (0.48-0.54 s on a 256 KiB
+    zipf-words text, against 0.42-0.58 s for the suffix index, lz77, lzss
+    and greedy together) and nothing else waits on it.  So where os.fork
+    exists and other methods are asked for too, Re-Pair runs in one forked
+    child while this process computes the rest; the report of all five
+    methods then takes 0.55-0.99 s, median 0.67 s, on such texts (2-CPU
+    VM).  The fork comes before the
     suffix index imports numpy, so the child inherits none of numpy's
     threads.  The report is the same either way.
     """

@@ -19,12 +19,13 @@ from .greedy import greedy_factorize
 from .text import Text
 from . import generators
 
-# Decoding holds its output buffer and the Text's copy of it.  Measured peak
-# RSS of `lzse decompress` at 2^24 symbols (CPython 3.11, x86-64 Linux), over
-# the 16 MiB that `import lzse.cli` takes: 2 bytes per symbol in byte mode,
-# 8 in token mode.  So 2^26 symbols peak near 144 MiB and 530 MiB: 64 times
-# the largest benchmark corpus (1 MiB).  extract holds its own range the
-# same way.  gen hands its buffer to the Text without a copy, and at 2^22
+# Decoding holds its output buffer and, in byte mode, the Text's copy of it;
+# a token-mode array is handed to the Text uncopied.  Measured peak RSS of
+# `lzse decompress` at 2^24 symbols (CPython 3.11, x86-64 Linux), over the
+# 16 MiB that `import lzse.cli` takes: 2 bytes per symbol in byte mode, 4 in
+# token mode.  So 2^26 symbols peak near 144 MiB and 272 MiB: 64 times the
+# largest benchmark corpus (1 MiB).  extract holds its own range the same
+# way.  gen hands its buffer to the Text without a copy, and at 2^22
 # symbols peaks at 1 byte per symbol (lower-bound 2, token mode 4).
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, NamedTuple, Sequence
 
-from .text import BYTE_ALPHABET, Text
+from .text import BYTE_ALPHABET, TOKEN_ALPHABET, Text
 
 
 class Char(NamedTuple):
@@ -139,7 +139,9 @@ def decode(fact: Factorization) -> Text:
     """Expand a factorization back into its text, left to right.
 
     Symbols go into the buffer kind that ``Text`` holds, and each copy
-    factor is one slice copy of the output so far.
+    factor is one slice copy of the output so far.  A token-mode buffer is
+    handed to the Text as it is; a narrower alphabet goes through
+    ``Text()`` for its range check.
     """
     out = bytearray() if fact.alphabet_size <= BYTE_ALPHABET else array("I")
     bounds = fact.bounds
@@ -151,6 +153,8 @@ def decode(fact: Factorization) -> Text:
                 out.append(k)
     except OverflowError as ex:
         raise ValueError(f"char symbol out of range for alphabet {fact.alphabet_size}") from ex
+    if fact.alphabet_size == TOKEN_ALPHABET:
+        return Text._adopt(out, TOKEN_ALPHABET)
     return Text(out, fact.alphabet_size)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import NamedTuple
 
 from .factorization import Factorization
@@ -222,121 +223,117 @@ def repair_compress(text: Text) -> Cfg:
     and a replacement updates only the pairs next to the occurrence it
     replaces.  A heap keyed by (-count, first occurrence) picks each rule,
     re-keying stale entries when they surface.  O(n log n) overall.
+
+    Each pair has a dense id that indexes its list's head and tail and its
+    count, and ``occ[i]`` is the id of the occurrence starting at position
+    i.  So the pairs a replacement takes an occurrence from, left and right
+    of it, are read off ``occ`` without a lookup.  Every pair it makes holds
+    the new label x; two maps that live for one round find them: c -> the
+    id of (c, x), with (x, x) under x, and d -> the id of (x, d).  The ids
+    of pairs left without occurrences are reused from the next round on.
     """
     n = len(text)
     if n == 0:
         raise GrammarError("cannot build a grammar for the empty text")
     # Work on dense labels: terminals 0..k-1 in symbol order, then one label
     # per rule from k.  The relabelling is monotone, so every choice is
-    # unchanged.  A rule saves at least two symbols, so labels stay below
-    # k + n/2 and a * width + b names the pair (a, b) uniquely.
+    # unchanged.
     terminals = sorted(set(text.symbols))
     k = len(terminals)
     dense = {s: t for t, s in enumerate(terminals)}
     sym = [dense[s] for s in text.symbols]
-    width = k + n
-    nxt = list(range(1, n + 1))
+    # Each position's int is made once and shared by every list holding it,
+    # which keeps the peak down.
+    pos = list(range(-1, n + 1))
+    nxt = pos[2:]
     nxt[-1] = -1
-    prv = list(range(-1, n - 1))
+    prv = pos[:n]
     # The occurrence at i is the pair (sym[i], sym[nxt[i]]).  Old pairs only
     # lose occurrences and new pairs gain them left to right, so every list
-    # stays in position order and its head is the first occurrence.
+    # stays in position order and its head is the first occurrence.  An
+    # empty list has head and tail -1.
+    occ = [0] * n
     onx = [-1] * n
     opv = [-1] * n
-    head: dict[int, int] = {}
-    tail: dict[int, int] = {}
-    count: dict[int, int] = {}
+    head: list[int] = []
+    tail: list[int] = []
+    count: list[int] = []
     # A run of L >= 2 equal symbols keeps L and the position of its other
     # end at both ends, so the run's count L//2 follows a change at either
     # end in O(1).
     run_len = [0] * n
     run_end = [0] * n
-
-    def close_run(s: int, e: int) -> None:
-        run_len[s] = run_len[e] = e - s + 1
-        run_end[s] = e
-        run_end[e] = s
-        count[sym[s] * width + sym[s]] += (e - s + 1) // 2
-
-    def shrink_run(lost: int, kept: int, key: int) -> None:
-        # the run end `lost` leaves the run; its neighbour `kept` is the new end
-        other = run_end[lost]
-        length = run_len[lost]
-        if length % 2 == 0:
-            count[key] -= 1
-        if length > 2:
-            run_len[other] = run_len[kept] = length - 1
-            run_end[other] = kept
-            run_end[kept] = other
-
+    ids: dict[int, int] = {}
     run_start = 0
-    for i in range(n - 1):
-        a = sym[i]
-        b = sym[i + 1]
-        key = a * width + b
-        t = tail.get(key)
-        if t is None:
-            head[key] = i
-            count[key] = 0
+    for i, a, b in zip(pos[1:n], sym, islice(sym, 1, None)):
+        p = ids.get(a * k + b)
+        if p is None:
+            p = ids[a * k + b] = len(head)
+            head.append(i)
+            tail.append(i)
+            count.append(0)
         else:
+            t = tail[p]
             onx[t] = i
             opv[i] = t
-        tail[key] = i
+            tail[p] = i
+        occ[i] = p
         if a != b:
-            count[key] += 1
-            if i > run_start:
-                close_run(run_start, i)
+            count[p] += 1
+            if i > run_start:  # close the run run_start..i
+                run_len[run_start] = run_len[i] = i - run_start + 1
+                run_end[run_start] = i
+                run_end[i] = run_start
+                count[occ[run_start]] += (i - run_start + 1) // 2
             run_start = i + 1
     if run_start < n - 1:
-        close_run(run_start, n - 1)
+        e = n - 1
+        run_len[run_start] = run_len[e] = e - run_start + 1
+        run_end[run_start] = e
+        run_end[e] = run_start
+        count[occ[run_start]] += (e - run_start + 1) // 2
+    del ids, pos
 
-    def unlink(i: int, key: int) -> None:
-        p = opv[i]
-        q = onx[i]
-        if p < 0 and q < 0:
-            del head[key], tail[key], count[key]
-            return
-        if p >= 0:
-            onx[p] = q
-        else:
-            head[key] = q
-        if q >= 0:
-            opv[q] = p
-        else:
-            tail[key] = p
+    free: list[int] = []  # ids of pairs with no occurrence left
 
-    def append(i: int, key: int) -> None:
-        t = tail.get(key)
-        if t is None:
-            head[key] = i
-            count[key] = 0
-            fresh.append(key)
-            opv[i] = -1
+    def new_pair(i: int, freq: int) -> int:
+        # a pair made by this round, with its first occurrence at i
+        if free:
+            p = free.pop()
+            head[p] = tail[p] = i
+            count[p] = freq
         else:
-            onx[t] = i
-            opv[i] = t
-        onx[i] = -1
-        tail[key] = i
+            p = len(head)
+            head.append(i)
+            tail.append(i)
+            count.append(freq)
+        occ[i] = p
+        opv[i] = onx[i] = -1
+        return p
 
     # An old pair's count only falls and its head only moves right, so its
     # heap entry never sorts after its true key; new pairs are pushed once,
-    # when their round ends.
-    heap = [(-freq, head[key], key) for key, freq in count.items() if freq >= 2]
+    # when their round ends.  Live pairs never share a head, so the id in
+    # an entry decides no order; an entry whose id has since been reused
+    # is re-keyed like any other stale one.
+    heap = [(-freq, head[p], p) for p, freq in enumerate(count) if freq >= 2]
     heapify(heap)
     label_rules: list[tuple[int, int]] = []
     while heap:
-        neg, first, key = heappop(heap)
-        freq = count.get(key, 0)
+        neg, first, pair = heappop(heap)
+        freq = count[pair]
         if freq < 2:
             continue
-        if freq != -neg or head[key] != first:
-            heappush(heap, (-freq, head[key], key))
+        if freq != -neg or head[pair] != first:
+            heappush(heap, (-freq, head[pair], pair))
             continue
-        a, b = divmod(key, width)
+        a = sym[first]
+        b = sym[nxt[first]]
         x = k + len(label_rules)
         label_rules.append((a, b))
-        xx = x * width + x
-        fresh: list[int] = []
+        left_of: dict[int, int] = {}   # c -> id of (c, x)
+        right_of: dict[int, int] = {}  # d -> id of (x, d)
+        emptied = [pair]
         i = first
         while i >= 0:
             j = nxt[i]
@@ -347,25 +344,61 @@ def repair_compress(text: Text) -> Cfg:
                 following = onx[j]
             if h >= 0:
                 c = sym[h]
-                left = c * width + a
+                p = occ[h]  # (c, a) loses its occurrence at h
                 if c != a:
-                    count[left] -= 1
+                    count[p] -= 1
                 else:  # i ends a run of a (a != b): it loses its last symbol
-                    shrink_run(i, h, left)
-                unlink(h, left)
+                    s = run_end[i]
+                    length = run_len[i]
+                    if length % 2 == 0:
+                        count[p] -= 1
+                    if length > 2:
+                        run_len[s] = run_len[h] = length - 1
+                        run_end[s] = h
+                        run_end[h] = s
+                u = opv[h]
+                v = onx[h]
+                if u >= 0:
+                    onx[u] = v
+                elif v >= 0:
+                    head[p] = v
+                else:
+                    head[p] = -1
+                    emptied.append(p)
+                if v >= 0:
+                    opv[v] = u
+                else:
+                    tail[p] = u
             if r >= 0:
                 d = sym[r]
-                right = b * width + d
-                if d != b:
-                    count[right] -= 1
-                    unlink(j, right)
-                elif a != b:  # j starts a run of b: it loses its first symbol
-                    shrink_run(j, r, right)
-                    unlink(j, right)
+                if d != b or a != b:  # (b, d) loses its occurrence at j
+                    p = occ[j]
+                    if d != b:
+                        count[p] -= 1
+                    else:  # j starts a run of b: it loses its first symbol
+                        s = run_end[j]
+                        length = run_len[j]
+                        if length % 2 == 0:
+                            count[p] -= 1
+                        if length > 2:
+                            run_len[s] = run_len[r] = length - 1
+                            run_end[s] = r
+                            run_end[r] = s
+                    u = opv[j]
+                    v = onx[j]
+                    if u >= 0:
+                        onx[u] = v
+                    elif v >= 0:
+                        head[p] = v
+                    else:
+                        head[p] = -1
+                        emptied.append(p)
+                    if v >= 0:
+                        opv[v] = u
+                    else:
+                        tail[p] = u
             sym[i] = x
             nxt[i] = r
-            if r >= 0:
-                prv[r] = i
             if h >= 0:
                 if c == x:  # extend the run of x that ends at h
                     g = prv[h]
@@ -378,20 +411,53 @@ def repair_compress(text: Text) -> Cfg:
                     run_len[s] = run_len[i] = length + 1
                     run_end[s] = i
                     run_end[i] = s
-                    append(h, xx)
-                    count[xx] += length % 2
+                    freq = length % 2
                 else:
-                    append(h, c * width + x)
-                    count[c * width + x] += 1
+                    freq = 1
+                p = left_of.get(c)
+                if p is None:
+                    left_of[c] = new_pair(h, freq)
+                else:
+                    # (c, x) keeps its occurrences to the end of the round,
+                    # as every later replacement lies right of i
+                    t = tail[p]
+                    onx[t] = h
+                    opv[h] = t
+                    onx[h] = -1
+                    tail[p] = h
+                    occ[h] = p
+                    count[p] += freq
             if r >= 0:
-                append(i, x * width + sym[r])
-                count[x * width + sym[r]] += 1
+                prv[r] = i
+                p = right_of.get(d)
+                if p is None:
+                    right_of[d] = new_pair(i, 1)
+                else:
+                    # (x, d) loses its occurrence at i when the next
+                    # replacement starts at r, so it may have lost them all
+                    # since this round made it: then its list starts again
+                    t = tail[p]
+                    if t >= 0:
+                        onx[t] = i
+                    else:
+                        head[p] = i
+                    opv[i] = t
+                    onx[i] = -1
+                    tail[p] = i
+                    occ[i] = p
+                    count[p] += 1
             i = following
-        del head[key], tail[key], count[key]
-        for key in fresh:
-            freq = count.get(key, 0)
-            if freq >= 2:
-                heappush(heap, (-freq, head[key], key))
+        head[pair] = tail[pair] = -1
+        for p in emptied:
+            if head[p] == -1:
+                head[p] = -2  # freed once, though emptied twice
+                count[p] = 0
+                free.append(p)
+        for made in (left_of, right_of):
+            for p in made.values():
+                freq = count[p]
+                if freq >= 2:
+                    heappush(heap, (-freq, head[p], p))
     base = text.alphabet_size  # rule ids start above the alphabet
 
     def symbol(label: int) -> int:

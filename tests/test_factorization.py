@@ -1,5 +1,8 @@
+from array import array
+
 import pytest
 
+from lzse.access import build_access_index, extract
 from lzse.factorization import (Char, Copy, Factorization, FactorizationError,
                                 decode, validate)
 from lzse.text import TOKEN_ALPHABET, Text
@@ -155,6 +158,35 @@ def test_decode_rejects_out_of_range_char_with_value_error():
         decode(Factorization([Char(1 << 32), Copy(1, 1)], alphabet_size=TOKEN_ALPHABET))
     with pytest.raises(ValueError):
         decode(Factorization([Char(97), Char(256)]))
+
+
+def test_token_decode_hands_its_buffer_over(monkeypatch):
+    # decode and extract fill a fresh array('I') in token mode and hand it
+    # to the Text uncopied; a narrower alphabet still goes through Text(),
+    # whose range check rejects a char above it
+    tokens = [7, 1 << 31, 300, (1 << 32) - 1]
+    fact = Factorization([Char(s) for s in tokens] + [Copy(1, 4), Copy(2, 3)],
+                         alphabet_size=TOKEN_ALPHABET)
+    index = build_access_index(fact)
+    whole = tokens + tokens + tokens[1:]
+    narrow = Factorization([Char(7), Char(400)], alphabet_size=300)
+    made = []
+    init = Text.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Text, "__init__", counted_init)
+    texts = [decode(fact), extract(fact, 1, fact.n), extract(fact, 3, 9), index.extract(2, 11)]
+    assert made == []
+    assert all(type(t.symbols) is array for t in texts)
+    assert [list(t) for t in texts] == [whole, whole, whole[2:9], whole[1:11]]
+    with pytest.raises(ValueError):
+        decode(narrow)
+    with pytest.raises(ValueError):
+        extract(narrow, 1, 2)
+    assert len(made) == 2
 
 
 def test_rel_and_factor_at():

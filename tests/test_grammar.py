@@ -219,6 +219,15 @@ def test_repair_matches_reference_high_tokens():
         assert_repair_matches_reference(Text.from_tokens(tokens))
 
 
+def test_repair_matches_reference_remade_pair():
+    # ab is replaced by x at 0, 2 and 5: (x, a) is made at 0, loses that
+    # occurrence when the replacement at 2 follows, and is made again at 2.
+    # Its emptied list must start again there, not grow from its old tail.
+    assert_repair_matches_reference(Text.from_str("ababaaba"))
+    a, b = (1 << 31) + 5, (1 << 32) - 1
+    assert_repair_matches_reference(Text.from_tokens([a, b, a, b, a, a, b, a]))
+
+
 # run lengths decide the greedy non-overlapping counts, the tie-breaks
 # between a run pair and its neighbours, and where new runs form
 @settings(max_examples=300, deadline=None)
