@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections import Counter
 from typing import NamedTuple
 
@@ -34,39 +35,42 @@ class LzssFactor(NamedTuple):
     sym: int      # literal symbol, -1 for a copy
 
 
-def _longest_previous(idx: SuffixIndex) -> tuple[list[int], list[int]]:
+def _longest_previous(idx: SuffixIndex) -> tuple[memoryview, memoryview]:
     """Per 1-based position i, (source, length) of a longest previous factor.
 
     Of the two ranks nearest to i's whose suffixes start earlier, one above
     and one below, take the longer LCP, the smaller source on a tie.  One
-    scan in rank order keeps a stack of positions increasing upward, each
-    with its LCP to the entry under it; the top sits in (top, below), over
-    a sentinel position 0.  The entry under a pushed position is its
+    scan in rank order keeps a stack of positions increasing upward over a
+    sentinel position 0.  The entry under a pushed position is its
     neighbour above; the position that pops an entry is that entry's
-    neighbour below.  m is the LCP with the top: the adjacent LCP, folded
-    with the LCP of each entry popped.
+    neighbour below.  The results hold the stack: until an entry is popped,
+    its source is the entry under it and its length the LCP with that entry.
+    m is the LCP with the top: the adjacent LCP, folded with the LCP of each
+    entry popped.  Both results are memoryviews of ``array('i')``, which
+    store and load a Python int about as fast as a list does; through
+    ``array.__setitem__`` the scan took up to half as long again.
     """
     n = len(idx.sa)
-    src = [0] * (n + 1)
-    length = [0] * (n + 1)
-    stack: list[tuple[int, int]] = []
-    top = below = 0
+    src = memoryview(array("i", [0]) * (n + 1))
+    length = memoryview(array("i", [0]) * (n + 1))
+    top = 0
     for p, m in zip(idx.sa, idx.lcp):
         while top > p:
-            if m > length[top] or (m == length[top] and p < src[top]):
+            under = src[top]
+            below = length[top]
+            if m > below or (m == below and p < under):
                 src[top] = p
                 length[top] = m
             if below < m:
                 m = below
-            top, below = stack.pop()
+            top = under
         src[p] = top
         length[p] = m
-        stack.append((top, below))
-        top, below = p, m
+        top = p
     return src, length
 
 
-def _lz77_parse(text: Text, src: list[int], lpf: list[int]) -> list[Lz77Factor]:
+def _lz77_parse(text: Text, src: memoryview, lpf: memoryview) -> list[Lz77Factor]:
     n = len(text)
     out: list[Lz77Factor] = []
     i = 1
@@ -81,7 +85,7 @@ def _lz77_parse(text: Text, src: list[int], lpf: list[int]) -> list[Lz77Factor]:
     return out
 
 
-def _lzss_parse(text: Text, src: list[int], lpf: list[int]) -> list[LzssFactor]:
+def _lzss_parse(text: Text, src: memoryview, lpf: memoryview) -> list[LzssFactor]:
     n = len(text)
     out: list[LzssFactor] = []
     i = 1
@@ -269,15 +273,15 @@ def size_report(methods, text: Text) -> dict:
     report keeps separate so source/length/next_char columns can be read
     off directly.  A repeated method is computed and reported once.
 
-    Re-Pair takes about as long as the rest (0.48-0.54 s on a 256 KiB
-    zipf-words text, against 0.42-0.58 s for the suffix index, lz77, lzss
-    and greedy together) and nothing else waits on it.  So where os.fork
-    exists and other methods are asked for too, Re-Pair runs in one forked
-    child while this process computes the rest; the report of all five
-    methods then takes 0.55-0.99 s, median 0.67 s, on such texts (2-CPU
-    VM).  The fork comes before the
-    suffix index imports numpy, so the child inherits none of numpy's
-    threads.  The report is the same either way.
+    Re-Pair takes longer than the rest (0.54-0.69 s on a 256 KiB zipf-words
+    text, against 0.35-0.55 s for the suffix index, lz77, lzss and greedy
+    together; best of 3 on each of three such texts) and nothing else waits
+    on it.  So where os.fork exists and other methods are asked for too,
+    Re-Pair runs in one forked child while this process computes the rest;
+    the report of all five methods then takes 0.58-1.33 s, medians
+    0.63-0.76 s per text (5 runs each, same session, 2-CPU VM).  The fork
+    comes before the suffix index imports numpy, so the child inherits none
+    of numpy's threads.  The report is the same either way.
     """
     methods = list(dict.fromkeys(methods))
     for m in methods:

@@ -232,10 +232,12 @@ def test_neighbour_scan_matches_reference_tokens():
 
 @pytest.mark.parametrize("text", [
     Text.from_str("a" * 3000),
+    # rank order is position order, so every position stays on the stack
+    Text.from_str("a" * 3000 + "b"),
     Text.from_str("ab" * 1500),
     Text.from_str("abcab" * 700),
     block_repetitive(5, 1 << 16),
-], ids=["unary", "periodic-2", "periodic-5", "block-64KiB"])
+], ids=["unary", "unary-then-b", "periodic-2", "periodic-5", "block-64KiB"])
 def test_neighbour_scan_matches_reference_structured(text):
     assert_same_as_reference(text)
 

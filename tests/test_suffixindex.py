@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lzse import suffixindex
 from lzse.generators import gen_periodic
 from lzse.suffixindex import RangeArgMin, build_suffix_index
 from lzse.text import TOKEN_ALPHABET, Text
@@ -14,18 +15,33 @@ from helpers import (brute_lcp, brute_suffix_sort, lcp_suffixes, random_text,
 def test_banana_suffix_array():
     t = Text.from_str("banana")
     idx = build_suffix_index(t)
-    assert idx.sa == brute_suffix_sort(t) == [6, 4, 2, 1, 5, 3]
+    assert list(idx.sa) == brute_suffix_sort(t) == [6, 4, 2, 1, 5, 3]
 
 
 def test_empty_text():
     idx = build_suffix_index(Text.from_str(""))
-    assert idx.sa == [] and idx.lcp == []
+    assert list(idx.sa) == [] and list(idx.lcp) == []
 
 
 def test_unary_suffix_array():
     t = Text.from_str("aaaa")
     idx = build_suffix_index(t)
-    assert idx.sa == brute_suffix_sort(t) == [4, 3, 2, 1]
+    assert list(idx.sa) == brute_suffix_sort(t) == [4, 3, 2, 1]
+
+
+def test_arrays_are_flat_int_buffers():
+    idx = build_suffix_index(Text.from_str("mississippi"))
+    assert idx.sa.typecode == idx.lcp.typecode == "i"
+    assert idx.sa.itemsize == 4
+
+
+def test_rejects_positions_past_int32():
+    class Huge:
+        def __len__(self):
+            return 1 << 31
+
+    with pytest.raises(ValueError, match="31 bits"):
+        build_suffix_index(Huge())
 
 
 def test_isa_inverts_sa():
@@ -117,16 +133,16 @@ def _reference_texts():
 def test_matches_reference_build(name, text):
     idx = build_suffix_index(text)
     sa, _, lcp = suffix_index_reference(text)
-    assert idx.sa == sa
-    assert idx.lcp == lcp
+    assert list(idx.sa) == sa
+    assert list(idx.lcp) == lcp
 
 
 def _check_against_brute(text: Text) -> None:
     idx = build_suffix_index(text)
     n = len(text)
-    assert idx.sa == brute_suffix_sort(text)
+    assert list(idx.sa) == brute_suffix_sort(text)
     expect = [0] + [brute_lcp(text, idx.sa[r - 1], idx.sa[r]) for r in range(1, n)]
-    assert idx.lcp == expect[:n]
+    assert list(idx.lcp) == expect[:n]
 
 
 _edge_bytes = st.sampled_from([0, 1, 127, 128, 254, 255])
@@ -166,3 +182,52 @@ _tokens = st.integers(0, TOKEN_ALPHABET - 1)
 ))
 def test_token_texts_match_brute_force(tokens):
     _check_against_brute(Text.from_tokens(tokens))
+
+
+@pytest.fixture(params=[3, 2], ids=["k3", "k2"])
+def fold(request, monkeypatch):
+    """k, the ranks folded into each sort key; k = 2 forced on small texts."""
+    monkeypatch.setattr(suffixindex, "_MAX_FOLD", request.param)
+    return request.param
+
+
+def test_fold_count_follows_key_limit():
+    # k ranks of at most n + 1 each need (n + 2)**k < 2**63
+    assert suffixindex._fold_count(0) == 3
+    assert suffixindex._fold_count((1 << 21) - 3) == 3
+    assert suffixindex._fold_count((1 << 21) - 2) == 2
+    assert suffixindex._fold_count(1 << 30) == 2
+
+
+def _fold_texts():
+    rng = random.Random(20)
+    yield "bytes", Text.from_bytes(bytes(rng.randrange(256) for _ in range(300)))
+    yield "unary", Text.from_bytes(b"a" * 300)
+    yield "periodic", gen_periodic("abaababaab", 40)
+    yield "random-sigma2", random_text(rng, 400, 2)
+    words = [[rng.randrange(1 << 32) for _ in range(rng.randint(1, 4))]
+             for _ in range(8)]
+    yield "tokens", Text.from_tokens([t for _ in range(60)
+                                      for t in words[rng.randrange(8)]])
+    yield "tokens-unary", Text.from_tokens([(1 << 32) - 1] * 200)
+
+
+@pytest.mark.parametrize("name,text", list(_fold_texts()),
+                         ids=[name for name, _ in _fold_texts()])
+def test_fold_matches_brute_force(fold, name, text):
+    assert suffixindex._fold_count(len(text)) == fold
+    _check_against_brute(text)
+
+
+@pytest.mark.parametrize("name,text", [
+    ("random-sigma2", random_text(random.Random(21), 50_000, 2)),
+    ("unary", Text.from_bytes(b"z" * 50_000)),
+], ids=["random-sigma2", "unary"])
+def test_fold_keys_past_int32(fold, name, text):
+    # rank * (n + 2) exceeds 2**31 once n > 46,341: a key formed in int32
+    # would wrap and misorder the suffixes
+    assert len(text) > 46_341
+    idx = build_suffix_index(text)
+    sa, _, lcp = suffix_index_reference(text)
+    assert list(idx.sa) == sa
+    assert list(idx.lcp) == lcp
