@@ -2,31 +2,31 @@
 
 Exit codes: 0 ok, 1 usage error, 2 data or internal error.  Token-mode inputs are
 detected by the LZTK magic; everything else is treated as bytes.
+
+Each command imports the modules it runs inside its own function, so a
+process loads only those: ``compress`` never loads the access index or the
+baselines, and ``decompress`` never loads a parser.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import archive
-from .access import access, extract
-from .baselines import METHODS, size_report
 from .factorization import Factorization, decode, validate
-from .grammar import grammar_to_lzse, repair_compress
-from .greedy import greedy_factorize
 from .text import Text
-from . import generators
 
 # Decoding holds its output buffer and, in byte mode, the Text's copy of it;
-# a token-mode array is handed to the Text uncopied.  Measured peak RSS of
-# `lzse decompress` at 2^24 symbols (CPython 3.11, x86-64 Linux), over the
-# 16 MiB that `import lzse.cli` takes: 2 bytes per symbol in byte mode, 4 in
-# token mode.  So 2^26 symbols peak near 144 MiB and 272 MiB: 64 times the
-# largest benchmark corpus (1 MiB).  extract holds its own range the same
-# way.  gen hands its buffer to the Text without a copy, and at 2^22
-# symbols peaks at 1 byte per symbol (lower-bound 2, token mode 4).
+# a token-mode array is handed to the Text uncopied, but a copy factor's
+# slice is held while it is appended, and unary's last factor is half the
+# text.  Measured peak RSS of `lzse decompress` of unary at 2^24 symbols
+# (CPython 3.11, x86-64 Linux), over the 13.6 MiB that `import lzse.cli`
+# takes: 2 bytes per symbol in byte mode, 6 in token mode.  So 2^26 symbols
+# peak near 142 MiB and 398 MiB: 64 times the largest benchmark corpus
+# (1 MiB).  extract holds its own range the same way.  gen hands its buffer
+# to the Text without a copy, and at 2^22 symbols peaks at 1 byte per symbol
+# (lower-bound 2, token mode 4).
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 
 
@@ -54,8 +54,10 @@ def _write_text(path: str, text: Text) -> None:
 def _cmd_compress(args) -> int:
     text = _read_text(args.input)
     if args.method == "greedy":
+        from .greedy import greedy_factorize
         fact = greedy_factorize(text)
     else:  # repair-se
+        from .grammar import grammar_to_lzse, repair_compress
         fact = grammar_to_lzse(repair_compress(text), alphabet_size=text.alphabet_size)
     out = args.output or args.input + ".lzse"
     with open(out, "wb") as fh:
@@ -77,6 +79,7 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_access(args) -> int:
+    from .access import access
     fact = _read_archive(args.input)
     sym = access(fact, args.position)
     if fact.alphabet_size <= 256 and 32 <= sym < 127:
@@ -87,6 +90,7 @@ def _cmd_access(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from .access import extract
     fact = _read_archive(args.input)
     count = args.right - args.left + 1
     if count > MAX_DECOMPRESS_SYMBOLS:
@@ -102,6 +106,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    import json
+    from .baselines import METHODS, size_report
     text = _read_text(args.input)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -143,6 +149,7 @@ def _gen_max_symbols(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import generators
     size = _gen_max_symbols(args)
     if size > MAX_DECOMPRESS_SYMBOLS:
         raise ValueError(f"gen {args.family} of up to {size} symbols is above the "

@@ -10,11 +10,15 @@ trie.
 
 The practical parser needs no index.  It holds the text once as a flat
 buffer (one byte per symbol in byte mode, four in token mode), and every
-comparison is a slice compare of that buffer: the trie's edge labels are
-(offset, length) ranges of the text, and each candidate's match length is
-found by galloping over blocks that double in size.  The trie is path
-compressed (PATRICIA, Morrison 1968), so it has O(z) nodes, and the walk
-costs one dict lookup and one compare per edge rather than per symbol.
+comparison is a slice compare of that buffer: a trie node's string is a
+(offset, depth) range of the text, and its edge is that string's tail.
+The trie is path compressed (PATRICIA, Morrison 1968), so it has O(z)
+nodes, and the walk costs one dict lookup and one compare per edge rather
+than per symbol.  A mark's string is whole factors, so a candidate can
+only grow past it by the next whole factor: a compare of at most 16 bytes
+settles most candidates, and only the rest are measured by galloping over
+blocks that double in size.  Inserts start from nodes the walk reached,
+not from the root.
 """
 
 from __future__ import annotations
@@ -44,20 +48,20 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
         buf, w = syms.tobytes(), syms.itemsize
 
     def common_prefix(a: int, b: int, cap: int) -> int:
-        """Symbols shared by the texts at 0-based a and b, at most cap.
+        """Whole symbols shared by buf[a:] and buf[b:] (byte offsets a and
+        b), comparing at most cap bytes.
 
         Blocks of 16, 32, 64, ... bytes are compared until one differs.
         There the lowest set bit of the two blocks' XOR, read little-endian,
         marks the first differing byte, which lies in the first differing
         symbol.
         """
-        a *= w
-        b *= w
-        cap *= w
         lo = 0
         step = 16
         while lo < cap:
-            hi = min(lo + step, cap)
+            hi = lo + step
+            if hi > cap:
+                hi = cap
             x = buf[a + lo:a + hi]
             y = buf[b + lo:b + hi]
             if x != y:
@@ -67,46 +71,49 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
             step <<= 1
         return cap // w
 
-    # Path-compressed trie over extended factors.  Node v hangs from its
-    # parent by the edge text[start[v] : start[v] + size[v]], and children
-    # are keyed by their edge's first symbol.  Every inserted string ends
-    # at a node, which carries at most two marks (factor index, factor
-    # start position); more would contradict the at-most-twice property of
-    # extended factors.
-    start = [0]
-    size = [0]
+    # Path-compressed trie over extended factors.  Node v spells
+    # text[org[v] : org[v] + dep[v]] and hangs from its parent u by the
+    # edge of its last dep[v] - dep[u] symbols; children are keyed by their
+    # edge's first symbol.  A split puts a new node above the split child,
+    # and the child keeps its string, org and dep.  So a node keeps its
+    # string for good, and a node reached by one walk can start an insert
+    # later.  Every inserted string ends at a node, which carries at most
+    # two marks (factor index, factor start position); more would
+    # contradict the at-most-twice property of extended factors.
+    org = [0]
+    dep = [0]
     children: list[dict[int, int]] = [{}]
     marks: list[list[tuple[int, int]] | None] = [None]
 
-    def insert(lo: int, hi: int, mark: tuple[int, int]) -> None:
-        v = 0
+    def insert(v: int, lo: int, hi: int, mark: tuple[int, int]) -> None:
+        """Insert text[lo - dep[v] : hi], whose first dep[v] symbols v spells."""
         while lo < hi:
+            dv = dep[v]
             c = children[v].get(syms[lo])
             if c is None:
-                c = len(start)
+                c = len(org)
                 children[v][syms[lo]] = c
-                start.append(lo)
-                size.append(hi - lo)
+                org.append(lo - dv)
+                dep.append(dv + hi - lo)
                 children.append({})
                 marks.append(None)
                 v = c
                 break
-            k = size[c]
-            if k <= hi - lo and (k == 1 or buf[lo * w:(lo + k) * w]
-                                 == buf[start[c] * w:(start[c] + k) * w]):
+            span = dep[c] - dv
+            e = org[c] + dv  # the edge is text[e : e + span]
+            if span <= hi - lo and (span == 1 or buf[lo * w:(lo + span) * w]
+                                    == buf[e * w:(e + span) * w]):
                 v = c
-                lo += k
+                lo += span
                 continue
-            # split c's edge after the d < k symbols it shares with the string
-            d = common_prefix(lo, start[c], min(k, hi - lo))
-            m = len(start)
+            # split c's edge after the d < span symbols it shares with the string
+            d = common_prefix(lo * w, e * w, (span if span < hi - lo else hi - lo) * w)
+            m = len(org)
             children[v][syms[lo]] = m
-            start.append(start[c])
-            size.append(d)
-            children.append({syms[start[c] + d]: c})
+            org.append(org[c])
+            dep.append(dv + d)
+            children.append({syms[e + d]: c})
             marks.append(None)
-            start[c] += d
-            size[c] -= d
             v = m
             lo += d
         if marks[v] is None:
@@ -119,7 +126,9 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
     starts: list[int] = []  # the factors' flat fields, as Factorization holds them
     counts: list[int] = []
     bounds = [1]  # bounds[t] = pos_l of factor t+1
+    k = 0  # factors parsed so far
     deferred = 0  # factor awaiting its doubled extended factor, 0 = none
+    deferred_node = 0  # the node spelling that factor
     p = 0  # symbols parsed so far
     while p < n:
         best_len = 0
@@ -127,32 +136,50 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
         best_start = best_end = 0
         v = 0
         depth = 0
-        marked_depths = []
-        while p + depth < n:
-            v = children[v].get(syms[p + depth])
-            if v is None:
+        q = p  # p + depth
+        while q < n:
+            c = children[v].get(syms[q])
+            if c is None:
                 break
             # take the whole edge or stop: no mark lies inside an edge, and
             # a slice cut short by the end of the text compares unequal; the
             # child's key has matched the edge's first symbol already
-            k = size[v]
-            if k > 1:
-                q = (p + depth) * w
-                e = start[v] * w
-                if buf[q:q + k * w] != buf[e:e + k * w]:
+            e = dep[c]
+            if e - depth > 1:
+                o = org[c]
+                if buf[q * w:(p + e) * w] != buf[(o + depth) * w:(o + e) * w]:
                     break
-            depth += k
+            v = c
+            depth = e
+            q = p + e
             node_marks = marks[v]
             if node_marks is None:
                 continue
-            marked_depths.append(depth)
             for fi, fpos in node_marks:
-                # the walk matched `depth` symbols of the mark's string;
-                # capped at the parsed prefix: no overlap with the new factor
-                cap = min(p - fpos + 1, n - p)
-                d = depth + common_prefix(p + depth, fpos - 1 + depth, cap - depth)
-                j = bisect_right(bounds, fpos + d) - 1
-                cand = bounds[j] - fpos
+                # the mark's string is whole factors, F_fi or F_fi F_fi+1,
+                # and the walk matched all of it, so the candidate grows
+                # past it only if the next factor F_j+1 matches too.  A
+                # mismatch in F_j+1's first 16 bytes settles it; comparing
+                # no more keeps a long F_j+1 from being copied on every
+                # visit.  A slice cut short by the end of the text compares
+                # unequal.
+                j = fi if bounds[fi] - fpos == depth else fi + 1
+                cand = depth
+                if j < k:
+                    a = q * w
+                    b = (fpos - 1 + depth) * w
+                    h = (bounds[j + 1] - fpos - depth) * w
+                    if h > 16:
+                        h = 16
+                    if buf[a:a + h] == buf[b:b + h]:
+                        # measured by galloping, capped at the parsed
+                        # prefix: no overlap with the new factor
+                        cap = p - fpos + 1
+                        if cap > n - p:
+                            cap = n - p
+                        d = depth + common_prefix(a, b, (cap - depth) * w)
+                        j = bisect_right(bounds, fpos + d) - 1
+                        cand = bounds[j] - fpos
                 if cand > best_len or (cand == best_len and fpos < best_pos):
                     best_len = cand
                     best_pos = fpos
@@ -162,22 +189,30 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
             l, c, flen = 0, syms[p], 1
         else:
             l, c, flen = best_start, best_end - best_start + 1, best_len
+        # v becomes the deepest walked node within F_k, which spells a
+        # prefix of F_k; past the walk's last node the edges need no compare
+        if dep[v] > flen:
+            v = 0
+            while True:
+                x = children[v][syms[p + dep[v]]]
+                if dep[x] > flen:
+                    break
+                v = x
         starts.append(l)
         counts.append(c)
-        k = len(starts)
+        k += 1
         bounds.append(bounds[-1] + flen)
         p += flen
         if deferred:
-            dlo = bounds[deferred - 1] - 1
-            insert(dlo, bounds[k] - 1, (deferred, dlo + 1))
+            insert(deferred_node, p - flen, p, (deferred, bounds[deferred - 1]))
             deferred = 0
-        # F_k is already in the trie iff the walk passed a marked node at
-        # depth |F_k|; the deferred insert above marks depth |F_{k-1}F_k|
-        if flen in marked_depths:
+        # F_k is already in the trie iff v is a marked node at depth |F_k|;
+        # the deferred insert above marks depth |F_{k-1}F_k|
+        if dep[v] == flen and marks[v] is not None:
             deferred = k
+            deferred_node = v
         else:
-            flo = bounds[k - 1] - 1
-            insert(flo, bounds[k] - 1, (k, flo + 1))
+            insert(v, p - flen + dep[v], p, (k, p - flen + 1))
     return Factorization.from_lists(starts, counts, n, text.alphabet_size)
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzse import archive, baselines, cli
+from lzse import archive, baselines, cli, greedy
 from lzse.cli import main
 from lzse.factorization import Char, Copy, Factorization
 from lzse.grammar import GrammarError
@@ -340,6 +340,9 @@ def test_read_commands_do_not_load_numpy(tmp_path):
                      ["extract", arc, "-l", "2", "-r", "7"]):
             assert cli.main(argv) == 0, argv
         assert "numpy" not in sys.modules, "a read command loaded numpy"
+        loaded = {"lzse." + m for m in ("baselines", "grammar", "greedy",
+                                        "suffixindex", "generators")} & set(sys.modules)
+        assert not loaded, loaded
     """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -353,12 +356,18 @@ def test_read_commands_do_not_load_numpy(tmp_path):
 def test_write_commands_do_not_load_numpy(tmp_path):
     script = """if True:
         import sys
+        import lzse
+        assert not [m for m in sys.modules if m.startswith("lzse.")]
         from lzse import cli
         src = sys.argv[1]
         with open(src, "wb") as fh:
             fh.write(b"ababbababab" * 50)
-        for argv in (["compress", src, "-o", src + ".g", "--method", "greedy"],
-                     ["compress", src, "-o", src + ".r", "--method", "repair-se"],
+        assert cli.main(["compress", src, "-o", src + ".g", "--method", "greedy"]) == 0
+        loaded = {"numpy"} | {"lzse." + m for m in ("access", "baselines", "grammar",
+                                                    "suffixindex")}
+        loaded &= set(sys.modules)
+        assert not loaded, loaded
+        for argv in (["compress", src, "-o", src + ".r", "--method", "repair-se"],
                      ["stats", src, "--methods", "lzse", "--json"],
                      ["stats", src, "--methods", "lzse,repair,repair-se"]):
             assert cli.main(argv) == 0, argv
@@ -419,6 +428,7 @@ def test_internal_error_exits_2(sample, tmp_path, capsys, monkeypatch):
     def broken_parser(text):
         raise RuntimeError("more than two marks on a trie node")
 
-    monkeypatch.setattr(cli, "greedy_factorize", broken_parser)
+    # compress imports the parser when it runs, so the module's name is patched
+    monkeypatch.setattr(greedy, "greedy_factorize", broken_parser)
     assert main(["compress", str(sample), "-o", str(tmp_path / "x.lzse")]) == 2
     assert capsys.readouterr().err.startswith("error: more than two marks")

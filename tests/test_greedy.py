@@ -202,9 +202,18 @@ def test_matches_reference_parser(name, text):
     assert greedy_factorize(text).factors == greedy_factorize_reference(text).factors
 
 
+@pytest.mark.parametrize("mode", ["bytes", "tokens"])
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(b"abc"), st.integers(1, 200)),
-                min_size=1, max_size=8))
-def test_runs_match_reference_parser(runs):
-    text = Text(bytes(c for c, k in runs for _ in range(k)))
+                min_size=1, max_size=8),
+       st.integers(1, 3))
+def test_runs_match_reference_parser(mode, runs, byte):
+    symbols = [c for c, k in runs for _ in range(k)]
+    if mode == "bytes":
+        text = Text(bytes(symbols))
+    else:
+        # the three tokens differ only in one byte, one to three bytes into
+        # the token, so a byte mismatch lies inside a token, never at its start
+        keep = 0x11223344 & ~(0xFF << 8 * byte)
+        text = Text.from_tokens(keep | c << 8 * byte for c in symbols)
     assert greedy_factorize(text).factors == greedy_factorize_reference(text).factors

@@ -1,6 +1,11 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import lzse
 
@@ -32,3 +37,14 @@ def test_top_level_exports():
     # the worker's names from `lzse` itself, plus Text for the README sketch
     assert sorted(lzse.__all__) == EXPORTS
     assert all(hasattr(lzse, name) for name in EXPORTS)
+    star: dict = {}
+    exec("from lzse import *", star)
+    assert sorted(name for name in star if name != "__builtins__") == EXPORTS
+    # dir() lists the names before any has been resolved
+    src = str(Path(lzse.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", "import lzse; print(*dir(lzse))"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert set(EXPORTS) <= set(run.stdout.split()), run.stderr
+    with pytest.raises(AttributeError):
+        lzse.no_such_name
