@@ -8,10 +8,12 @@ factor with k = v referenced factors, followed by varint d = i - l >= 1,
 the back-distance from the factor's own index to its start factor.
 Varints are unsigned LEB128.
 
-``deserialize`` reads counts and back-distances of up to two bytes inline
-and calls ``read_varint`` for every other varint and any field that runs off
-the end, so every error keeps ``read_varint``'s message and offset.  A record
-that cannot be a factor (d outside 1..i-1, or k > d) fails at its offset.
+``serialize`` writes varints below 128 inline and calls ``write_varint`` for
+the rest.  ``deserialize`` reads counts and back-distances of up to two bytes
+inline and calls ``read_varint`` for every other varint and any field that
+runs off the end, so every error keeps ``read_varint``'s message and offset.
+A record that cannot be a factor (d outside 1..i-1, or k > d) fails at its
+offset.
 """
 
 from __future__ import annotations
@@ -74,16 +76,28 @@ def serialize(fact: Factorization) -> bytes:
     out.append(mode)
     write_varint(out, fact.n)
     write_varint(out, fact.z)
+    # a value below 128 is a one-byte varint, appended inline; write_varint
+    # takes the rest and raises for negative values
+    append = out.append
     for i, (l, k) in enumerate(zip(fact.start, fact.count), start=1):
         if l:
-            write_varint(out, k)
-            write_varint(out, i - l)
+            if 0 <= k < 0x80:
+                append(k)
+            else:
+                write_varint(out, k)
+            d = i - l
+            if 0 <= d < 0x80:
+                append(d)
+            else:
+                write_varint(out, d)
         else:
-            write_varint(out, 0)
+            append(0)
             if mode == MODE_BYTE:
                 if not 0 <= k < 256:
                     raise ArchiveError(f"factor {i}: symbol {k} not a byte")
-                out.append(k)
+                append(k)
+            elif 0 <= k < 0x80:
+                append(k)
             else:
                 write_varint(out, k)
     return bytes(out)

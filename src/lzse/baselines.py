@@ -273,15 +273,18 @@ def size_report(methods, text: Text) -> dict:
     report keeps separate so source/length/next_char columns can be read
     off directly.  A repeated method is computed and reported once.
 
-    Re-Pair takes longer than the rest (0.54-0.69 s on a 256 KiB zipf-words
-    text, against 0.35-0.55 s for the suffix index, lz77, lzss and greedy
+    Re-Pair takes longer than the rest (0.62-0.69 s on a 256 KiB zipf-words
+    text, against 0.41-0.44 s for the suffix index, lz77, lzss and greedy
     together; best of 3 on each of three such texts) and nothing else waits
     on it.  So where os.fork exists and other methods are asked for too,
     Re-Pair runs in one forked child while this process computes the rest;
-    the report of all five methods then takes 0.58-1.33 s, medians
-    0.63-0.76 s per text (5 runs each, same session, 2-CPU VM).  The fork
-    comes before the suffix index imports numpy, so the child inherits none
-    of numpy's threads.  The report is the same either way.
+    the report of all five methods then takes 0.51-1.08 s, medians
+    0.65-0.71 s per text (5 runs each, same session, 2-CPU VM).  The child
+    also sets the memory: on those texts it peaks at 38.1-38.3 MiB and this
+    process at 36.6-36.8 MiB, on the 1 MiB criterion-9 text at 117 and
+    53 MiB (each process's own peak RSS).  The fork comes before the suffix
+    index imports numpy, so the child inherits none of numpy's threads or
+    pages.  The report is the same either way.
     """
     methods = list(dict.fromkeys(methods))
     for m in methods:

@@ -9,6 +9,7 @@ alphabet).
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -260,9 +261,9 @@ def repair_compress(text: Text) -> Cfg:
     count: list[int] = []
     # A run of L >= 2 equal symbols keeps L and the position of its other
     # end at both ends, so the run's count L//2 follows a change at either
-    # end in O(1).
-    run_len = [0] * n
-    run_end = [0] * n
+    # end in O(1).  Both tables are int32, 4 bytes a position, not lists.
+    run_len = memoryview(array("i", [0]) * n)
+    run_end = memoryview(array("i", [0]) * n)
     ids: dict[int, int] = {}
     run_start = 0
     for i, a, b in zip(pos[1:n], sym, islice(sym, 1, None)):

@@ -338,6 +338,19 @@ def block_repetitive(seed: int, size: int) -> Text:
                                     for _ in range(size // 256)))
 
 
+def zipf_words_pattern(rng: random.Random, size: int) -> bytes:
+    """``size`` bytes of space-separated words, drawn Zipf-like from 96."""
+    vocab = [bytes(rng.randrange(97, 123) for _ in range(rng.randint(2, 9)))
+             for _ in range(96)]
+    chunks = []
+    total = 0
+    while total < size:
+        w = vocab[min(int(rng.paretovariate(1.1)) - 1, len(vocab) - 1)] + b" "
+        chunks.append(w)
+        total += len(w)
+    return b"".join(chunks)[:size]
+
+
 def factor_string(fact: Factorization, text: Text, i: int) -> tuple[int, ...]:
     return text.symbols[fact.pos_l(i) - 1: fact.pos_r(i)]
 

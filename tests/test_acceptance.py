@@ -28,7 +28,7 @@ from lzse.ibst import Ibst
 from lzse.text import Text
 
 from helpers import (all_binary_texts, brute_path_counts,
-                     random_valid_factorization, random_text)
+                     random_valid_factorization, random_text, zipf_words_pattern)
 
 
 def report(line: str) -> None:
@@ -43,18 +43,6 @@ def block_repetitive_megabyte() -> Text:
     data = b"".join(pool[rng.randrange(64)] for _ in range(4096))
     assert len(data) == 1 << 20
     return Text.from_bytes(data)
-
-
-def zipf_words_pattern(rng: random.Random, size: int) -> bytes:
-    vocab = [bytes(rng.randrange(97, 123) for _ in range(rng.randint(2, 9)))
-             for _ in range(96)]
-    chunks = []
-    total = 0
-    while total < size:
-        w = vocab[min(int(rng.paretovariate(1.1)) - 1, len(vocab) - 1)] + b" "
-        chunks.append(w)
-        total += len(w)
-    return b"".join(chunks)[:size]
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,8 @@ from lzse.grammar import (Cfg, GrammarError, Slp, cfg_to_slp, expand,
 from lzse.generators import gen_orsp, gen_periodic
 from lzse.text import Text
 
-from helpers import orsp_instance, random_text, repair_compress_reference
-from test_acceptance import zipf_words_pattern
+from helpers import (orsp_instance, random_text, repair_compress_reference,
+                     zipf_words_pattern)
 
 A, B, S, X, Y = 300, 301, 302, 303, 304
 

@@ -12,8 +12,7 @@ from lzse.text import Text
 from helpers import (all_binary_texts, block_repetitive, compute_extended_factors,
                      extended_factor_strings, factor_string,
                      greedy_factorize_oracle_all_starts, greedy_factorize_reference,
-                     random_text)
-from test_acceptance import zipf_words_pattern
+                     random_text, zipf_words_pattern)
 
 
 def both(text: Text):

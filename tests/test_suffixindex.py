@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lzse import suffixindex
 from lzse.generators import gen_periodic
 from lzse.suffixindex import RangeArgMin, build_suffix_index
 from lzse.text import TOKEN_ALPHABET, Text
 
-from helpers import (brute_lcp, brute_suffix_sort, lcp_suffixes, random_text,
-                     suffix_index_reference, suffix_ranks)
+from helpers import (block_repetitive, brute_lcp, brute_suffix_sort,
+                     lcp_suffixes, random_text, suffix_index_reference,
+                     suffix_ranks, zipf_words_pattern)
 
 
 def test_banana_suffix_array():
@@ -148,8 +150,7 @@ def _check_against_brute(text: Text) -> None:
 _edge_bytes = st.sampled_from([0, 1, 127, 128, 254, 255])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
+_byte_texts = st.one_of(
     st.binary(max_size=10),
     st.binary(max_size=300),
     st.lists(_edge_bytes, max_size=40).map(bytes),
@@ -157,31 +158,41 @@ _edge_bytes = st.sampled_from([0, 1, 127, 128, 254, 255])
     st.integers(0, 300).map(lambda k: b"\xff" * k),
     st.tuples(st.binary(max_size=60), st.lists(_edge_bytes, min_size=7, max_size=7))
     .map(lambda t: t[0] + bytes(t[1])),
-))
-def test_byte_texts_match_brute_force(data):
-    _check_against_brute(Text.from_bytes(data))
+).map(Text.from_bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_byte_texts)
+def test_byte_texts_match_brute_force(text):
+    _check_against_brute(text)
+
+
+_runs = st.builds(
+    lambda n, pattern, tail: Text.from_bytes((pattern * (n // len(pattern) + 1))[:n] + tail),
+    st.integers(1, 1500), st.binary(min_size=1, max_size=12), st.binary(max_size=12))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 1500), st.binary(min_size=1, max_size=12), st.binary(max_size=12))
-def test_unary_and_periodic_runs_match_brute_force(n, pattern, tail):
-    _check_against_brute(Text.from_bytes((pattern * (n // len(pattern) + 1))[:n] + tail))
+@given(_runs)
+def test_unary_and_periodic_runs_match_brute_force(text):
+    _check_against_brute(text)
 
 
 _tokens = st.integers(0, TOKEN_ALPHABET - 1)
-
-
-@settings(max_examples=90, deadline=None)
-@given(st.one_of(
+_token_texts = st.one_of(
     st.lists(_tokens, max_size=12),
     st.lists(st.sampled_from([0, 1, (1 << 31) - 1, 1 << 31, (1 << 32) - 1]), max_size=80),
     # 1500 or more distinct symbols cut the pack width from 7 symbols to 5
     st.integers(1500, 1800).flatmap(
         lambda k: st.lists(_tokens, min_size=k, max_size=k, unique=True)
         .map(lambda t: t + t[: len(t) // 2])),
-))
-def test_token_texts_match_brute_force(tokens):
-    _check_against_brute(Text.from_tokens(tokens))
+).map(Text.from_tokens)
+
+
+@settings(max_examples=90, deadline=None)
+@given(_token_texts)
+def test_token_texts_match_brute_force(text):
+    _check_against_brute(text)
 
 
 @pytest.fixture(params=[3, 2], ids=["k3", "k2"])
@@ -231,3 +242,78 @@ def test_fold_keys_past_int32(fold, name, text):
     sa, _, lcp = suffix_index_reference(text)
     assert list(idx.sa) == sa
     assert list(idx.lcp) == lcp
+
+
+@pytest.fixture(params=[1, 2, 7, None], ids=["batch1", "batch2", "batch7", "batch-default"])
+def batch(request, monkeypatch):
+    """The slots a batch of a tupling round or of the LCP descent covers.
+
+    Below the default, batches end inside texts of a few symbols, and
+    groups larger than a batch are sorted alone.
+    """
+    if request.param is not None:
+        monkeypatch.setattr(suffixindex, "_BATCH", request.param)
+    return suffixindex._BATCH
+
+
+def _head(text: Text, m: int) -> Text:
+    if text.is_byte_mode:
+        return Text.from_bytes(text.to_bytes()[:m])
+    return Text.from_tokens(text.symbols[:m])
+
+
+@pytest.mark.parametrize("name,text", [(name, _head(text, 2500)) for name, text in _reference_texts()],
+                         ids=[name for name, _ in _reference_texts()])
+def test_batches_match_reference_build(batch, name, text):
+    # the reference texts' first 2,500 symbols: batches of one slot are slow
+    idx = build_suffix_index(text)
+    sa, _, lcp = suffix_index_reference(text)
+    assert list(idx.sa) == sa
+    assert list(idx.lcp) == lcp
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("family", [_byte_texts, _runs, _token_texts],
+                         ids=["bytes", "runs", "tokens"])
+@given(data=st.data())
+def test_batches_match_brute_force(batch, family, data):
+    _check_against_brute(data.draw(family))
+
+
+@pytest.mark.parametrize("name,text", list(_fold_texts()),
+                         ids=[name for name, _ in _fold_texts()])
+def test_batches_fold_match_brute_force(fold, batch, name, text):
+    _check_against_brute(text)
+
+
+def test_group_larger_than_a_batch(batch):
+    # unary text is one group at every level, and here it spans 3 batches
+    text = Text.from_bytes(b"u" * (3 * batch + 5))
+    idx = build_suffix_index(text)
+    sa, _, lcp = suffix_index_reference(text)
+    assert list(idx.sa) == sa
+    assert list(idx.lcp) == lcp
+
+
+def test_build_peak_memory_per_symbol(monkeypatch):
+    # Bytes held per symbol, at most, with 16 batches to a text:
+    #   throughout: sa (int32, handed over) 4, the digits (int16) 2;
+    #   level 0: packed keys (int64) 8, argsort's order (int64) 8;
+    #   rounds: ranks 4, joined (int8) 1, and per open slot its int32 slot
+    #     and new rank and one bool, 9;
+    #   LCPs: lcp (int32, handed over) 4, joined 1, level-j groups 4;
+    #   a batch's temporaries, about 40 bytes a slot, 2.5.
+    # So level 0 peaks at about 24.5 and the rounds at 22.5; 36 leaves room
+    # and fails the 59 of full-size rounds and of lcp copied out at the end.
+    rng = random.Random(9)
+    for text in (Text.from_bytes(zipf_words_pattern(rng, 1 << 14) * 4),
+                 block_repetitive(7, 1 << 16)):
+        monkeypatch.setattr(suffixindex, "_BATCH", len(text) // 16)
+        tracemalloc.start()
+        try:
+            build_suffix_index(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * len(text)
