@@ -135,20 +135,30 @@ class Factorization:
         return f"Factorization(z={self.z}, n={self.n})"
 
 
+_DECODE_PIECE = 1 << 16  # most symbols decode copies at once
+
+
 def decode(fact: Factorization) -> Text:
     """Expand a factorization back into its text, left to right.
 
     Symbols go into the buffer kind that ``Text`` holds, and each copy
-    factor is one slice copy of the output so far.  A token-mode buffer is
-    handed to the Text as it is; a narrower alphabet goes through
-    ``Text()`` for its range check.
+    factor is a slice copy of the output so far, in pieces of at most
+    ``_DECODE_PIECE`` symbols, so a long source is never held twice.  A
+    token-mode buffer is handed to the Text as it is; a narrower alphabet
+    goes through ``Text()`` for its range check.
     """
     out = bytearray() if fact.alphabet_size <= BYTE_ALPHABET else array("I")
     bounds = fact.bounds
+    piece = _DECODE_PIECE
     try:
         for l, k in zip(fact.start, fact.count):
             if l:
-                out += out[bounds[l - 1] - 1:bounds[l + k - 1] - 1]
+                lo = bounds[l - 1] - 1
+                hi = bounds[l + k - 1] - 1
+                while hi - lo > piece:
+                    out += out[lo:lo + piece]
+                    lo += piece
+                out += out[lo:hi]
             else:
                 out.append(k)
     except OverflowError as ex:

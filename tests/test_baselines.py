@@ -178,23 +178,26 @@ def test_size_report_runs_inline_when_fork_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
-def test_size_report_repeated_method_once(fork, monkeypatch):
+def test_size_report_repeated_method_once(fork, monkeypatch, tmp_path):
     text = FORK_TEXTS["periodic"]
     expected = size_report(["repair", "lzse", "repair-se"], text)
     forks = counting_fork(monkeypatch)
     if not fork:
         monkeypatch.delattr(os, "fork")
-    parses = []
+    # greedy may parse in the forked child, so each parse appends to a file
+    parses = tmp_path / "parses"
+    parses.write_bytes(b"")
     real_greedy = baselines.greedy_factorize
 
     def greedy(t):
-        parses.append(1)
+        with open(parses, "ab") as fh:
+            fh.write(b".")
         return real_greedy(t)
 
     monkeypatch.setattr(baselines, "greedy_factorize", greedy)
     rep = size_report(["repair", "lzse", "repair", "repair-se", "lzse"], text)
     assert json.dumps(rep) == json.dumps(expected)
-    assert len(parses) == 1 and len(forks) == int(fork)
+    assert parses.read_bytes() == b"." and len(forks) == int(fork)
 
 
 def test_orsp_source_stream_entropy():

@@ -1,3 +1,4 @@
+import tracemalloc
 from array import array
 
 import pytest
@@ -196,3 +197,19 @@ def test_rel_and_factor_at():
     assert rel(f, 11) == (5, 4)
     with pytest.raises(FactorizationError):
         factor_at(f, 0)
+
+
+def test_decode_copies_long_sources_in_pieces():
+    # unary token text of 2^20 symbols whose last copy repeats the first
+    # half: the 4 MiB output, over-allocated as it grows, plus pieces of at
+    # most 2^16 symbols, where one slice of the whole source would add 2 MiB
+    fact = Factorization([Char(7)] + [Copy(1, i) for i in range(1, 21)],
+                         alphabet_size=TOKEN_ALPHABET)
+    tracemalloc.start()
+    try:
+        text = decode(fact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 1 << 20 and text == Text.from_tokens([7] * (1 << 20))
+    assert peak <= 4.75 * len(text)

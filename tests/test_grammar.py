@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lzse import grammar
 from lzse.factorization import decode, validate
 from lzse.grammar import (Cfg, GrammarError, Slp, cfg_to_slp, expand,
                           grammar_to_lzse, orsp_solve_from_slp, repair_compress)
@@ -234,6 +236,73 @@ def test_repair_matches_reference_remade_pair():
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 14)), min_size=1, max_size=24))
 def test_repair_matches_reference_long_runs(runs):
     assert_repair_matches_reference(Text(sym for sym, length in runs for _ in range(length)))
+
+
+def handoff_texts(rng: random.Random):
+    for sigma in [1, 2, 3, 4, 26]:
+        for _ in range(12):
+            yield random_text(rng, rng.randint(2, 400), sigma)
+    yield random_text(rng, 900, 26)  # k * k <= n: passes run
+    for k in [3, 8, 30]:
+        yield Text.from_str("".join("a" * i + "b" for i in range(1, k + 1)))
+    for _ in range(12):
+        yield Text(bytes(sym for _ in range(rng.randint(1, 30))
+                         for sym in [rng.randrange(3)] * rng.randint(1, 9)))
+    for pattern in ["ab", "aab", "abracadabra", "abcabcabd", "aaaab"]:
+        yield gen_periodic(pattern, rng.randint(2, 90))
+    for _ in range(8):
+        pattern = bytes(rng.randrange(97, 100) for _ in range(rng.randint(1, 9)))
+        yield gen_periodic(pattern, rng.randint(2, 120))
+    hi = [(1 << 31) + 5, (1 << 32) - 1]
+    for _ in range(8):
+        alphabet = [rng.randrange(1 << 32) for _ in range(rng.choice([1, 2, 4]))] + hi
+        yield Text.from_tokens(rng.choice(alphabet) for _ in range(rng.randint(2, 300)))
+
+
+@pytest.mark.parametrize("share", [float("inf"), 1 / 2, 1 / 10, 0.0],
+                         ids=["never", "half", "tenth", "every-round"])
+def test_repair_passes_hand_off_to_incremental_rounds(share, monkeypatch):
+    # The numpy passes run on short texts too, and hand off at every
+    # share: where the incremental rounds start, labels above the
+    # terminals exist, so their pair keys must span all labels so far.
+    monkeypatch.setattr(grammar, "_PASS_MIN_N", 2)
+    monkeypatch.setattr(grammar, "_PASS_SHARE", share)
+    real_passes = grammar._repair_passes
+    rounds = []
+
+    def passes(symbols, terminals, label_rules):
+        sym = real_passes(symbols, terminals, label_rules)
+        rounds.append(len(label_rules))
+        return sym
+
+    monkeypatch.setattr(grammar, "_repair_passes", passes)
+    for t in handoff_texts(random.Random(63)):
+        assert_repair_matches_reference(t)
+    assert any(rounds) == (share != float("inf"))
+    # k * k above n: the pair counts would outgrow the text, so the
+    # incremental rounds run alone
+    rounds.clear()
+    assert_repair_matches_reference(
+        Text.from_tokens(list(range(300)) + [5, 6, 7, 5, 6, 7, 8] * 40))
+    assert rounds == []
+
+
+def test_repair_peak_memory_per_symbol():
+    # 2^18 symbols of periodic zipf words.  The numpy passes hold the
+    # sequence as int32 (4 B), its pair keys (4 B), masks (1 B each) and
+    # the kept positions (8 B per replaced pair); they leave about a
+    # quarter of the symbols to the incremental rounds, whose six Python
+    # lists of positions, position ints and two int32 run tables cost
+    # about 100 B per symbol left.  Without the passes the peak is about
+    # 105 B per symbol.
+    t = gen_periodic(zipf_words_pattern(random.Random(5), 1 << 16), 4)
+    tracemalloc.start()
+    try:
+        repair_compress(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(t)
 
 
 def test_repair_rejects_empty():
