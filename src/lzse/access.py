@@ -16,43 +16,26 @@ index computes one immutable ``Hint`` per distinct range and every copy
 factor and path exit landing there shares it.  ``footprint()`` still counts
 one hint per copy factor, as the space analysis does.
 
-A one-shot query needs none of this.  The CLI's ``access`` and ``extract``
-read the factorization alone: ``access`` follows the jump function over
-``bounds``, one bisection of the copy's own source factors per jump, and
-``extract`` expands its range over an explicit stack of text ranges, with
-one slice copy of its own output wherever a source lies in the part already
-emitted, as ``decode`` does.  Both give up after ``jump_budget(n)`` jumps
-along one chain, 4 * ceil(lg(n + 1)), build the index once and finish from
-where the chain stopped; a jump keeps the symbol, so the answer is the same.
-The cost of a one-shot query is then the archive read, O(B lg z) for the
-jumps, and at most one index build: a hostile chain of one-factor copies
-costs what it cost with the index alone.
+A one-shot query needs none of this.  The CLI's ``access`` follows the
+jump function over ``bounds``, one bisection of the copy's own source
+factors per jump.  Both ``extract``s run ``factorization._expand``, the
+expansion that ``decode`` runs too.  One-shot reads give up after
+``jump_budget(n)`` jumps along one chain, 4 * ceil(lg(n + 1)), build the
+index once and finish from where the chain stopped; a jump keeps the
+symbol, so the answer is the same.  The cost of a one-shot query is then
+the archive read, O(B lg z) for the jumps, and at most one index build: a
+hostile chain of one-factor copies costs what it cost with the index alone.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from typing import Callable
 
 from .dag import compute_path_counts, heavy_paths, select_heavy_edges
-from .factorization import Factorization
+from .factorization import JUMP_FACTOR, Factorization, _expand, jump_budget  # noqa: F401
 from .ibst import Hint, Ibst
-from .text import BYTE_ALPHABET, TOKEN_ALPHABET, Text
-
-# B / ceil(lg(n + 1)): the jumps a one-shot query follows before it builds
-# the index.  Over 20,000 random positions, the deepest chain of a greedy
-# parse took 0.86 ceil(lg(n + 1)) jumps (unary 1 MiB: 18 of 21; lower-bound
-# m = 12: 14 of 20; zipf 256 KiB: 9 of 19; block 1 MiB: 6 of 21), and of a
-# Re-Pair archive 0.42.  A factor of 4 leaves the fallback to chains far
-# deeper than either parse makes, and B jumps of one bisection each still
-# cost microseconds where an index build costs tens of milliseconds.
-JUMP_FACTOR = 4
-
-
-def jump_budget(n: int) -> int:
-    """B, the jumps a one-shot query follows: JUMP_FACTOR * ceil(lg(n + 1))."""
-    return JUMP_FACTOR * n.bit_length()
+from .text import Text
 
 
 class PathSkip:
@@ -252,60 +235,5 @@ def access(fact: Factorization, p: int) -> int:
 def extract(fact: Factorization, lo: int, hi: int) -> Text:
     """Symbols at positions lo..hi (1-based, inclusive), without a prebuilt
     index; one is built only for a chain deeper than ``jump_budget(n)``."""
-    return _expand(fact, lo, hi, None)
+    return _expand(fact, lo, hi)
 
-
-def _expand(fact: Factorization, lo: int, hi: int, ix: AccessIndex | None) -> Text:
-    """T[lo..hi], expanded left to right over a stack of text ranges.
-
-    ``out`` holds T[lo..lo + len(out) - 1] at every step.  A char factor
-    appends its symbol.  A copy's piece whose source starts at lo or later
-    is one slice copy of ``out``; any other piece expands its source one
-    level down, unless that would pass ``jump_budget(n)`` levels: then its
-    symbols come from ``ix``, built on first need when None.
-    """
-    n = fact.n
-    if not 1 <= lo <= hi <= n:
-        raise ValueError(f"range [{lo}, {hi}] out of bounds 1..{n}")
-    bounds, start, count = fact.bounds, fact.start, fact.count
-    out = bytearray() if fact.alphabet_size <= BYTE_ALPHABET else array("I")
-    budget = jump_budget(n)
-    # (first position, last position, factor holding the first, depth)
-    stack = [(lo, hi, bisect_right(bounds, lo), 0)]
-    try:
-        while stack:
-            a, b, f, depth = stack.pop()
-            while a <= b:
-                l = start[f - 1]
-                e = bounds[f]  # one past the piece, which ends at b or with f
-                if not l:
-                    out.append(count[f - 1])
-                    a = e
-                    f += 1
-                    continue
-                if e > b:
-                    e = b + 1
-                s = bounds[l - 1] + a - bounds[f - 1]  # source of the piece
-                t = s + e - a
-                # a piece never lies past the position it fills, and its
-                # source ends before the piece's factor starts, so a source
-                # from lo on lies wholly in out
-                if s >= lo:
-                    out += out[s - lo:t - lo]
-                elif depth < budget:
-                    if e <= b:
-                        stack.append((e, b, f + 1, depth))
-                    stack.append((s, t - 1, bisect_right(bounds, s, l, l + count[f - 1] - 1),
-                                  depth + 1))
-                    break
-                else:
-                    if ix is None:
-                        ix = build_access_index(fact)
-                    out.extend(ix.access(q) for q in range(a, e))
-                a = e
-                f += 1
-    except OverflowError as ex:
-        raise ValueError(f"char symbol out of range for alphabet {fact.alphabet_size}") from ex
-    if fact.alphabet_size == TOKEN_ALPHABET:
-        return Text._adopt(out, TOKEN_ALPHABET)
-    return Text(out, fact.alphabet_size)

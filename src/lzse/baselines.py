@@ -289,10 +289,11 @@ def size_report(methods, text: Text) -> dict:
     off directly.  A repeated method is computed and reported once.
 
     Greedy and Re-Pair need no suffix index, and nothing else waits on
-    them.  So where os.fork exists and Re-Pair is asked for with another
-    method, one forked child computes the lzse, repair and repair-se
-    entries (``_own_entries``) and sends back the entries, not the grammar,
-    while this process builds the suffix index and computes lz77 and lzss.
+    them.  So where os.fork exists and lz77 or lzss is asked for with lzse,
+    repair or repair-se, one forked child computes those three's entries
+    (``_own_entries``) and sends back the entries, not the grammar, while
+    this process builds the suffix index and computes lz77 and lzss; work
+    on one side only runs inline.
     On three 256 KiB zipf-words texts the report of all five methods then
     takes 0.50-0.56 s, median 0.54 s (12 runs on a 2-CPU VM; median
     0.62 s, in alternating runs, with greedy in this process and Re-Pair
@@ -309,8 +310,8 @@ def size_report(methods, text: Text) -> dict:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     child = None
-    if (("repair" in methods or "repair-se" in methods) and hasattr(os, "fork")
-            and any(m in ("lz77", "lzss", "lzse") for m in methods)):
+    if (hasattr(os, "fork") and any(m in ("lz77", "lzss") for m in methods)
+            and any(m in ("lzse", "repair", "repair-se") for m in methods)):
         try:
             child = _ChildEntries(methods, text)
         except OSError:  # no process or pipe to spare: all runs inline

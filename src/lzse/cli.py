@@ -17,16 +17,16 @@ from . import archive
 from .factorization import Factorization, decode, validate
 from .text import Text
 
-# Decoding holds its output buffer and, in byte mode, the Text's copy of it;
-# a token-mode array is handed to the Text uncopied, but a copy factor's
-# slice is held while it is appended, and unary's last factor is half the
-# text.  Measured peak RSS of `lzse decompress` of unary at 2^24 symbols
-# (CPython 3.11, x86-64 Linux), over the 13.6 MiB that `import lzse.cli`
-# takes: 2 bytes per symbol in byte mode, 6 in token mode.  So 2^26 symbols
-# peak near 142 MiB and 398 MiB: 64 times the largest benchmark corpus
-# (1 MiB).  extract holds its own range the same way.  gen hands its buffer
-# to the Text without a copy, and at 2^22 symbols peaks at 1 byte per symbol
-# (lower-bound 2, token mode 4).
+# Expansion holds its output buffer and, in byte mode, the Text's copy of
+# it; a token-mode array goes to the Text uncopied, and a source, even
+# unary's last (half the text), is copied in slices of at most 2^16 symbols.
+# Peak RSS of `lzse decompress`, and of byte-mode `lzse extract` of 1..n, on
+# unary at 2^24 symbols (CPython 3.11, x86-64 Linux), over the 14 MiB of
+# `import lzse.cli`: 2 bytes per symbol in byte mode, 4 in token mode.  So
+# 2^26 symbols peak near 142 MiB and 270 MiB, 64 times the largest benchmark
+# corpus (1 MiB).  Token-mode extract prints a decimal string per symbol:
+# 78 bytes per symbol at 2^22.  gen hands its buffer to the Text uncopied,
+# and at 2^22 symbols peaks at 1 byte per symbol (lower-bound 2, token 4).
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 
 

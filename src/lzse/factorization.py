@@ -1,4 +1,4 @@
-"""LZSE factorization data model: factors, decoding and validation.
+"""LZSE factorization data model: factors, expansion and validation.
 
 Factor indices and text positions are 1-based throughout, mirroring the
 usual factorization notation: factor i occupies T[pos_l(i)..pos_r(i)].
@@ -7,11 +7,15 @@ F_l .. F_{l+k-1} with l + k - 1 < i, stored as start = l and count = k; a
 char factor has start 0 and its symbol in count.  The jump function and the
 extended factors, which the paper uses to bound access and to prove the
 greedy trie correct, live with the test oracles in ``tests/helpers.py``.
+
+One routine, ``_expand``, turns factors into symbols: ``decode`` runs it
+over 1..n, and both ``extract``s of ``lzse.access`` over their ranges.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
 from .text import BYTE_ALPHABET, TOKEN_ALPHABET, Text
@@ -135,32 +139,83 @@ class Factorization:
         return f"Factorization(z={self.z}, n={self.n})"
 
 
-_DECODE_PIECE = 1 << 16  # most symbols decode copies at once
+# B / ceil(lg(n + 1)): the jumps a one-shot query follows before it builds
+# the index.  Over 20,000 random positions, the deepest chain of a greedy
+# parse took 0.86 ceil(lg(n + 1)) jumps (unary 1 MiB: 18 of 21; lower-bound
+# m = 12: 14 of 20; zipf 256 KiB: 9 of 19; block 1 MiB: 6 of 21), and of a
+# Re-Pair archive 0.42.  A factor of 4 leaves the fallback to chains far
+# deeper than either parse makes, and B jumps of one bisection each still
+# cost microseconds where an index build costs tens of milliseconds.
+JUMP_FACTOR = 4
+
+_PIECE = 1 << 16  # most symbols one slice copy of the output takes
+
+
+def jump_budget(n: int) -> int:
+    """B, the jumps a one-shot query follows: JUMP_FACTOR * ceil(lg(n + 1))."""
+    return JUMP_FACTOR * n.bit_length()
 
 
 def decode(fact: Factorization) -> Text:
-    """Expand a factorization back into its text, left to right.
+    """Expand a factorization back into its text: ``_expand`` over 1..n."""
+    return _expand(fact, 1, fact.n) if fact.n else Text((), fact.alphabet_size)
 
-    Symbols go into the buffer kind that ``Text`` holds, and each copy
-    factor is a slice copy of the output so far, in pieces of at most
-    ``_DECODE_PIECE`` symbols, so a long source is never held twice.  A
-    token-mode buffer is handed to the Text as it is; a narrower alphabet
-    goes through ``Text()`` for its range check.
+
+def _expand(fact: Factorization, lo: int, hi: int, ix=None) -> Text:
+    """T[lo..hi] (1-based, inclusive), expanded left to right over a stack of
+    text ranges: the one expansion of ``decode`` and both ``extract``s.
+
+    ``out`` holds T[lo..lo + len(out) - 1] at every step.  A char factor
+    appends its symbol.  A copy's piece whose source starts at lo or later
+    is copied from ``out`` in slices of at most ``_PIECE`` symbols, so a long
+    source is never held twice; any other piece expands its source one level
+    down, unless that would pass ``jump_budget(n)`` levels: then its symbols
+    come from the access index ``ix``, built on first need when None.
     """
+    n = fact.n
+    if not 1 <= lo <= hi <= n:
+        raise ValueError(f"range [{lo}, {hi}] out of bounds 1..{n}")
+    bounds, start, count = fact.bounds, fact.start, fact.count
     out = bytearray() if fact.alphabet_size <= BYTE_ALPHABET else array("I")
-    bounds = fact.bounds
-    piece = _DECODE_PIECE
+    budget = jump_budget(n)
+    # (first position, last position, factor holding the first, depth)
+    stack = [(lo, hi, bisect_right(bounds, lo), 0)]
     try:
-        for l, k in zip(fact.start, fact.count):
-            if l:
-                lo = bounds[l - 1] - 1
-                hi = bounds[l + k - 1] - 1
-                while hi - lo > piece:
-                    out += out[lo:lo + piece]
-                    lo += piece
-                out += out[lo:hi]
-            else:
-                out.append(k)
+        while stack:
+            a, b, f, depth = stack.pop()
+            while a <= b:
+                l = start[f - 1]
+                e = bounds[f]  # one past the piece, which ends at b or with f
+                if not l:
+                    out.append(count[f - 1])
+                    a = e
+                    f += 1
+                    continue
+                if e > b:
+                    e = b + 1
+                s = bounds[l - 1] + a - bounds[f - 1]  # source of the piece
+                t = s + e - a
+                # a piece never lies past the position it fills, and its
+                # source ends before the piece's factor starts, so a source
+                # from lo on lies wholly in out
+                if s >= lo:
+                    while t - s > _PIECE:
+                        out += out[s - lo:s - lo + _PIECE]
+                        s += _PIECE
+                    out += out[s - lo:t - lo]
+                elif depth < budget:
+                    if e <= b:
+                        stack.append((e, b, f + 1, depth))
+                    stack.append((s, t - 1, bisect_right(bounds, s, l, l + count[f - 1] - 1),
+                                  depth + 1))
+                    break
+                else:
+                    if ix is None:
+                        from .access import build_access_index
+                        ix = build_access_index(fact)
+                    out.extend(ix.access(q) for q in range(a, e))
+                a = e
+                f += 1
     except OverflowError as ex:
         raise ValueError(f"char symbol out of range for alphabet {fact.alphabet_size}") from ex
     if fact.alphabet_size == TOKEN_ALPHABET:

@@ -662,9 +662,9 @@ def greedy_factorize_oracle_all_starts(text: Text) -> Factorization:
             base = fpos - 1
             while d < cap and p + d < n and syms[p + d] == syms[base + d]:
                 d += 1
-            j = bisect_right(bounds, fpos + d) - 1
-            if j < fi:
+            if fpos + d < bounds[fi]:  # the match ends inside F_fi: j < fi
                 continue
+            j = bisect_right(bounds, fpos + d) - 1
             cand = bounds[j] - fpos
             if cand > best_len or (cand == best_len and fpos < best_pos):
                 best_len = cand

@@ -157,9 +157,20 @@ def counting_fork(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("text", FORK_TEXTS.values(), ids=FORK_TEXTS.keys())
 def test_size_report_forked_equals_inline(text, monkeypatch):
     forks = counting_fork(monkeypatch)
-    forked = [json.dumps(size_report(s, text)) for s in SUBSETS]
-    # inline: the 7 subsets without Re-Pair and the 3 with nothing else
-    assert len(forks) == len(SUBSETS) - 10
+    forked = []
+    forking = set()
+    for s in SUBSETS:
+        before = len(forks)
+        forked.append(json.dumps(size_report(s, text)))
+        if len(forks) > before:
+            forking.add(frozenset(s))
+    # a fork only when both processes have work: one of the 3 nonempty
+    # subsets of the suffix-index methods with one of the 7 of the others
+    index_side = [("lz77",), ("lzss",), ("lz77", "lzss")]
+    child_side = [c for k in (1, 2, 3)
+                  for c in itertools.combinations(("lzse", "repair", "repair-se"), k)]
+    assert forking == {frozenset(a + c) for a in index_side for c in child_side}
+    assert len(forks) == len(forking) == 21
     monkeypatch.delattr(os, "fork")
     inline = [json.dumps(size_report(s, text)) for s in SUBSETS]
     assert forked == inline
@@ -180,7 +191,7 @@ def test_size_report_runs_inline_when_fork_fails(monkeypatch):
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
 def test_size_report_repeated_method_once(fork, monkeypatch, tmp_path):
     text = FORK_TEXTS["periodic"]
-    expected = size_report(["repair", "lzse", "repair-se"], text)
+    expected = size_report(["repair", "lzse", "lz77", "repair-se"], text)
     forks = counting_fork(monkeypatch)
     if not fork:
         monkeypatch.delattr(os, "fork")
@@ -195,7 +206,7 @@ def test_size_report_repeated_method_once(fork, monkeypatch, tmp_path):
         return real_greedy(t)
 
     monkeypatch.setattr(baselines, "greedy_factorize", greedy)
-    rep = size_report(["repair", "lzse", "repair", "repair-se", "lzse"], text)
+    rep = size_report(["repair", "lzse", "lz77", "repair", "repair-se", "lzse", "lz77"], text)
     assert json.dumps(rep) == json.dumps(expected)
     assert parses.read_bytes() == b"." and len(forks) == int(fork)
 

@@ -353,6 +353,29 @@ def test_read_commands_do_not_load_numpy(tmp_path):
     assert (tmp_path / "s.lzse.out").read_bytes() == b"ababbab"
 
 
+def test_decompress_does_not_load_the_access_index(tmp_path):
+    # decode shares its expansion with extract, whose deep chains import the
+    # index on first need; a whole-text expansion never needs it
+    script = """if True:
+        import sys
+        from lzse import archive, cli
+        from lzse.factorization import Char, Copy, Factorization
+        arc = sys.argv[1]
+        fact = Factorization([Char(97)] + [Copy(1, i) for i in range(1, 9)])
+        with open(arc, "wb") as fh:
+            fh.write(archive.serialize(fact))
+        assert cli.main(["decompress", arc, "-o", arc + ".out"]) == 0
+        loaded = {"lzse." + m for m in ("access", "dag", "ibst")} & set(sys.modules)
+        assert not loaded, loaded
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "u.lzse")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "u.lzse.out").read_bytes() == b"a" * 256
+
+
 def test_write_commands_do_not_load_numpy(tmp_path):
     script = """if True:
         import sys

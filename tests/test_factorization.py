@@ -202,14 +202,21 @@ def test_rel_and_factor_at():
 def test_decode_copies_long_sources_in_pieces():
     # unary token text of 2^20 symbols whose last copy repeats the first
     # half: the 4 MiB output, over-allocated as it grows, plus pieces of at
-    # most 2^16 symbols, where one slice of the whole source would add 2 MiB
+    # most 2^16 symbols, where one slice of the whole source would add 2 MiB.
+    # extract of the whole range, one-shot or through the index, expands the
+    # same way
     fact = Factorization([Char(7)] + [Copy(1, i) for i in range(1, 21)],
                          alphabet_size=TOKEN_ALPHABET)
-    tracemalloc.start()
-    try:
-        text = decode(fact)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(text) == 1 << 20 and text == Text.from_tokens([7] * (1 << 20))
-    assert peak <= 4.75 * len(text)
+    n = fact.n
+    assert n == 1 << 20
+    ix = build_access_index(fact)
+    expected = Text.from_tokens([7] * n)
+    for expand in (decode, lambda f: extract(f, 1, n), lambda f: ix.extract(1, n)):
+        tracemalloc.start()
+        try:
+            text = expand(fact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == expected
+        assert peak <= 4.75 * n
