@@ -99,6 +99,8 @@ def serialize(fact: Factorization) -> bytes:
             elif 0 <= k < 0x80:
                 append(k)
             else:
+                if k >= TOKEN_ALPHABET:
+                    raise ArchiveError(f"factor {i}: symbol {k} exceeds 32 bits")
                 write_varint(out, k)
     return bytes(out)
 

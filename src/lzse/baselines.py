@@ -1,9 +1,10 @@
 """LZ77/LZSS baselines, field-stream extraction and zeroth-order entropy.
 
-The baselines parse greedily with longest-previous-factor matches found
-in one scan of the suffix and LCP arrays (the nearest earlier positions
-above and below in rank order maximize the LCP); sources may be any
-earlier text position and may self-overlap.  Field streams split each
+The baselines parse greedily with longest-previous-factor matches: one
+scan of the suffix array finds each position's nearest earlier-starting
+neighbours above and below in rank order, and each parse compares the text
+against both at its factor starts; sources may be any earlier text
+position and may self-overlap.  Field streams split each
 representation into the symbol groups whose empirical entropies the size
 report accounts.
 """
@@ -20,7 +21,7 @@ from .factorization import Factorization
 from .grammar import Cfg, grammar_to_lzse, repair_compress
 from .greedy import greedy_factorize
 from .suffixindex import SuffixIndex, build_suffix_index
-from .text import Text
+from .text import Text, _prefix_compare
 
 
 class Lz77Factor(NamedTuple):
@@ -35,67 +36,91 @@ class LzssFactor(NamedTuple):
     sym: int      # literal symbol, -1 for a copy
 
 
-def _longest_previous(idx: SuffixIndex) -> tuple[memoryview, memoryview]:
-    """Per 1-based position i, (source, length) of a longest previous factor.
+def _longest_previous(text: Text, idx: SuffixIndex):
+    """longest(i): (source, length) of a longest previous factor at 1-based
+    position i, length 0 when there is none.
 
     Of the two ranks nearest to i's whose suffixes start earlier, one above
-    and one below, take the longer LCP, the smaller source on a tie.  One
-    scan in rank order keeps a stack of positions increasing upward over a
-    sentinel position 0.  The entry under a pushed position is its
-    neighbour above; the position that pops an entry is that entry's
-    neighbour below.  The results hold the stack: until an entry is popped,
-    its source is the entry under it and its length the LCP with that entry.
-    m is the LCP with the top: the adjacent LCP, folded with the LCP of each
-    entry popped.  Both results are memoryviews of ``array('i')``, which
-    store and load a Python int about as fast as a list does; through
-    ``array.__setitem__`` the scan took up to half as long again.
+    and one below, the longer match wins, the smaller source on a tie
+    (Kärkkäinen, Kempa and Puglisi, CPM 2013).  One scan in rank order
+    finds both: it keeps a stack of positions increasing upward over a
+    sentinel position 0, where the entry under a pushed position is its
+    neighbour above, and the position that pops an entry is that entry's
+    neighbour below.  Both are memoryviews of ``array('i')``, which store
+    and load a Python int about as fast as a list does.  longest(i)
+    compares the text directly, at factor starts only.  The smaller
+    source's first two symbols settle its match when it is shorter than
+    that; else it gallops.  The other source wins only by matching one
+    symbol more, which one compare settles before it gallops.
     """
-    n = len(idx.sa)
-    src = memoryview(array("i", [0]) * (n + 1))
-    length = memoryview(array("i", [0]) * (n + 1))
+    n = len(text)
+    above = memoryview(array("i", [0]) * (n + 1))
+    below = memoryview(array("i", [0]) * (n + 1))
     top = 0
-    for p, m in zip(idx.sa, idx.lcp):
+    for p in idx.sa:
         while top > p:
-            under = src[top]
-            below = length[top]
-            if m > below or (m == below and p < under):
-                src[top] = p
-                length[top] = m
-            if below < m:
-                m = below
-            top = under
-        src[p] = top
-        length[p] = m
+            below[top] = p
+            top = above[top]
+        above[p] = top
         top = p
-    return src, length
+    syms = text.symbols
+    buf, w, common_prefix = _prefix_compare(text)
+
+    def longest(i: int) -> tuple[int, int]:
+        a = above[i]
+        b = below[i]
+        if a > b:
+            a, b = b, a
+        if not a:
+            a, b = b, 0
+            if not a:
+                return 0, 0
+        # a < i, so a's suffix is the longer one
+        if syms[i - 1] != syms[a - 1]:
+            length = 0
+        elif i == n or syms[i] != syms[a]:
+            length = 1
+        else:
+            length = 2 + common_prefix((i + 1) * w, (a + 1) * w, (n - i - 1) * w)
+        if b:
+            x = (i - 1) * w
+            y = (b - 1) * w
+            e = (length + 1) * w
+            if buf[x:x + e] == buf[y:y + e]:
+                return b, length + 1 + common_prefix(x + e, y + e, (n - i + 1) * w - e)
+        return a, length
+
+    return longest
 
 
-def _lz77_parse(text: Text, src: memoryview, lpf: memoryview) -> list[Lz77Factor]:
+def _lz77_parse(text: Text, longest) -> list[Lz77Factor]:
     n = len(text)
     out: list[Lz77Factor] = []
     i = 1
     while i <= n:
-        length = min(lpf[i], n - i)  # keep one character for the mandatory literal
+        src, length = longest(i)
+        if length > n - i:
+            length = n - i  # keep one character for the mandatory literal
         if length == 0:
             out.append(Lz77Factor(0, 0, text[i - 1]))
             i += 1
         else:
-            out.append(Lz77Factor(src[i], length, text[i + length - 1]))
+            out.append(Lz77Factor(src, length, text[i + length - 1]))
             i += length + 1
     return out
 
 
-def _lzss_parse(text: Text, src: memoryview, lpf: memoryview) -> list[LzssFactor]:
+def _lzss_parse(text: Text, longest) -> list[LzssFactor]:
     n = len(text)
     out: list[LzssFactor] = []
     i = 1
     while i <= n:
-        length = lpf[i]
+        src, length = longest(i)
         if length == 0:
             out.append(LzssFactor(0, 0, text[i - 1]))
             i += 1
         else:
-            out.append(LzssFactor(src[i], length, -1))
+            out.append(LzssFactor(src, length, -1))
             i += length
     return out
 
@@ -104,14 +129,14 @@ def lz77_factorize(text: Text, idx: SuffixIndex | None = None) -> list[Lz77Facto
     """Greedy LZ77 triples (source, length, next char); length 0 for fresh chars."""
     if idx is None:
         idx = build_suffix_index(text)
-    return _lz77_parse(text, *_longest_previous(idx))
+    return _lz77_parse(text, _longest_previous(text, idx))
 
 
 def lzss_factorize(text: Text, idx: SuffixIndex | None = None) -> list[LzssFactor]:
     """Greedy LZSS: literals and (source, length) copies, overlap allowed."""
     if idx is None:
         idx = build_suffix_index(text)
-    return _lzss_parse(text, *_longest_previous(idx))
+    return _lzss_parse(text, _longest_previous(text, idx))
 
 
 def h0(stream) -> float:
@@ -295,12 +320,10 @@ def size_report(methods, text: Text) -> dict:
     this process builds the suffix index and computes lz77 and lzss; work
     on one side only runs inline.
     On three 256 KiB zipf-words texts the report of all five methods then
-    takes 0.50-0.56 s, median 0.54 s (12 runs on a 2-CPU VM; median
-    0.62 s, in alternating runs, with greedy in this process and Re-Pair
-    without its numpy passes), and the child's entries arrive within
-    0.02 s of this process's own.  Each process's own peak RSS is about 35.5 MiB
-    here and 36 MiB in the child; on the 1 MiB criterion-9 text, 52 and
-    61 MiB.  The fork comes before the suffix index imports numpy, so the
+    takes 0.61-0.67 s, median of 5 fresh processes each on a 2-CPU VM, and
+    the two processes finish within about 0.1 s of each other.  This
+    process's own peak RSS is about 35 MiB there and 51 MiB on the 1 MiB
+    criterion-9 text; the child's, 36 and 61 MiB.  The fork comes before the suffix index imports numpy, so the
     child inherits none of numpy's threads or pages; Re-Pair imports
     numpy in the child where its passes pay.  The report is the same
     either way.
@@ -319,12 +342,12 @@ def size_report(methods, text: Text) -> dict:
     entries: dict[str, dict] = {}
     try:
         if "lz77" in methods or "lzss" in methods:
-            src, lpf = _longest_previous(build_suffix_index(text))
+            longest = _longest_previous(text, build_suffix_index(text))
             if "lz77" in methods:
-                entries["lz77"] = _entry("lz77", _lz77_parse(text, src, lpf))
+                entries["lz77"] = _entry("lz77", _lz77_parse(text, longest))
             if "lzss" in methods:
-                entries["lzss"] = _entry("lzss", _lzss_parse(text, src, lpf))
-            del src, lpf
+                entries["lzss"] = _entry("lzss", _lzss_parse(text, longest))
+            del longest
         entries.update(_own_entries(methods, text) if child is None else child.result())
     finally:
         if child is not None:

@@ -24,9 +24,10 @@ from .text import Text
 # unary at 2^24 symbols (CPython 3.11, x86-64 Linux), over the 14 MiB of
 # `import lzse.cli`: 2 bytes per symbol in byte mode, 4 in token mode.  So
 # 2^26 symbols peak near 142 MiB and 270 MiB, 64 times the largest benchmark
-# corpus (1 MiB).  Token-mode extract prints a decimal string per symbol:
-# 78 bytes per symbol at 2^22.  gen hands its buffer to the Text uncopied,
-# and at 2^22 symbols peaks at 1 byte per symbol (lower-bound 2, token 4).
+# corpus (1 MiB).  Token-mode extract prints its range 4,096 decimal strings
+# at a time, so it too peaks at 4 bytes per symbol (2^22 symbols).  gen hands
+# its buffer to the Text uncopied, and at 2^22 symbols peaks at 1 byte per
+# symbol (lower-bound 2, token 4).
 MAX_DECOMPRESS_SYMBOLS = 1 << 26
 
 
@@ -101,7 +102,11 @@ def _cmd_extract(args) -> int:
         sys.stdout.buffer.write(part.to_bytes())
         sys.stdout.buffer.write(b"\n")
     else:
-        print(" ".join(str(s) for s in part.symbols))
+        # a decimal string per symbol costs tens of bytes: print 4,096 at a time
+        syms = part.symbols
+        for lo in range(0, len(syms), 4096):
+            print(" ".join(map(str, syms[lo:lo + 4096])),
+                  end=" " if lo + 4096 < len(syms) else "\n")
     return 0
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .factorization import Factorization
-from .text import Text
+from .text import Text, _prefix_compare
 
 
 def greedy_factorize(text: Text, idx=None) -> Factorization:
@@ -42,34 +42,7 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
     if n == 0:
         return Factorization([], 0, text.alphabet_size)
     syms = text.symbols
-    if text.is_byte_mode:
-        buf, w = syms, 1
-    else:
-        buf, w = syms.tobytes(), syms.itemsize
-
-    def common_prefix(a: int, b: int, cap: int) -> int:
-        """Whole symbols shared by buf[a:] and buf[b:] (byte offsets a and
-        b), comparing at most cap bytes.
-
-        Blocks of 16, 32, 64, ... bytes are compared until one differs.
-        There the lowest set bit of the two blocks' XOR, read little-endian,
-        marks the first differing byte, which lies in the first differing
-        symbol.
-        """
-        lo = 0
-        step = 16
-        while lo < cap:
-            hi = lo + step
-            if hi > cap:
-                hi = cap
-            x = buf[a + lo:a + hi]
-            y = buf[b + lo:b + hi]
-            if x != y:
-                diff = int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
-                return (lo + ((diff & -diff).bit_length() - 1 >> 3)) // w
-            lo = hi
-            step <<= 1
-        return cap // w
+    buf, w, common_prefix = _prefix_compare(text)
 
     # Path-compressed trie over extended factors.  Node v spells
     # text[org[v] : org[v] + dep[v]] and hangs from its parent u by the

@@ -1,8 +1,8 @@
-"""Suffix array and LCP array.
+"""Suffix array, with the LCP array on demand.
 
 Positions stored in ``sa`` are 1-based, matching the factorization
-position model; ranks are 0-based.  Both arrays are flat ``array('i')``
-buffers, 4 bytes an entry, which the LZ77/LZSS baselines scan in rank order.
+position model; ranks are 0-based.  ``sa`` is a flat ``array('i')``
+buffer, 4 bytes an entry, which the LZ77/LZSS baselines scan in rank order.
 
 The suffix array comes from Larsson-Sadakane prefix doubling (TCS 2007)
 widened to k-tupling: suffixes are first sorted by their first few symbols
@@ -11,17 +11,17 @@ hold more than one suffix, by one int64 key that folds k ranks spaced h
 apart, so the compared prefix grows k-fold a round (k = 3 while such keys
 fit 63 bits).  Groups sort independently of one another, so a round sorts
 them in batches of whole groups of at most ``_BATCH`` slots, and only a
-group larger than that alone.  The rounds leave one int8 per pair of
-adjacent SA slots: the number of rounds' groupings in which the pair shares
-a group.  The LCP array is read off those groupings, rebuilt one at a time
-from the top, in batches of slots too.  Positions and ranks are int32; only
-sort keys are int64, and the packed keys die after the first sort.  ``sa``
-and ``lcp`` are allocated as ``array('i')`` and filled through numpy views.
-So a build holds about 24 bytes per symbol at its peak, the first sort's
-(sa 4, keys 8, argsort's order 8, symbols 2 in byte mode), plus a batch's
-temporaries; only a group larger than a batch takes more.  numpy is
-imported inside the functions that build arrays, so importing the package
-(and the read-side commands) never loads it.
+group larger than that alone; one bool per SA slot marks where a group
+ends.  Positions and ranks are int32; only sort keys are int64, and the
+packed keys die after the first sort.  ``sa`` is allocated as
+``array('i')`` and filled through a numpy view.  So a build holds about 21
+bytes per symbol at its peak, the first sort's (sa 4, keys 8, argsort's
+order 8, group ends 1), plus a batch's temporaries; only a group larger
+than a batch takes more.  The build computes no LCP array: the baselines
+compare the text directly, and Kasai's scan computes ``lcp`` the first
+time it is read.  numpy is imported inside the functions that build
+arrays, so importing the package (and the read-side commands) never loads
+it.
 """
 
 from __future__ import annotations
@@ -81,20 +81,50 @@ class RangeArgMin:
 
 
 class SuffixIndex:
-    """Suffix array over a text with its LCP array.
+    """Suffix array over a text, with its LCP array on demand.
 
     sa[i] is the 1-based start of the rank-i suffix; lcp[i] is the common
     prefix length of the suffixes of ranks i-1 and i (lcp[0] = 0).  Both
-    are ``array('i')``.
+    are ``array('i')``.  No module of the package reads lcp; the test
+    references and the benchmark's traced run do, and the first read
+    computes it.
     """
 
-    __slots__ = ("text", "n", "sa", "lcp")
+    __slots__ = ("text", "n", "sa", "_lcp")
 
-    def __init__(self, text: Text, sa, lcp):
+    def __init__(self, text: Text, sa):
         self.text = text
         self.n = len(text)
         self.sa = sa
-        self.lcp = lcp
+        self._lcp = None
+
+    @property
+    def lcp(self):
+        """Kasai et al.'s scan (CPM 2001): in text order, each suffix shares
+        at least one symbol less with its rank predecessor than the suffix
+        before it did."""
+        if self._lcp is None:
+            syms, sa, n = self.text.symbols, self.sa, self.n
+            lcp = array("i", [0]) * n
+            rank = array("i", [0]) * (n + 1)
+            for r, p in enumerate(sa):
+                rank[p] = r
+            h = 0
+            for i in range(1, n + 1):
+                r = rank[i]
+                if r:
+                    j = sa[r - 1]
+                    # j's suffix ranks below i's, so if either is a prefix
+                    # of the other, it is j's: j + h passes the end first
+                    while j + h <= n and syms[i + h - 1] == syms[j + h - 1]:
+                        h += 1
+                    lcp[r] = h
+                    if h:
+                        h -= 1
+                else:
+                    h = 0
+            self._lcp = lcp
+        return self._lcp
 
 
 # Packed keys must stay below 2**63 to fit int64.
@@ -104,8 +134,8 @@ _KEY_LIMIT = 1 << 63
 # needs (n + 2)**k < _KEY_LIMIT: k = 3 for n up to about 2**21, 2 above.
 _MAX_FOLD = 3
 
-# The most SA slots a batch of a tupling round (whole groups) or of the LCP
-# descent covers, so their temporaries stay this size whatever n is.
+# The most SA slots a batch of a tupling round (whole groups) or of a pass
+# over level 0 covers, so their temporaries stay this size whatever n is.
 _BATCH = 1 << 15
 
 
@@ -114,14 +144,16 @@ def _fold_count(n: int) -> int:
     return _MAX_FOLD if (n + 2) ** _MAX_FOLD < _KEY_LIMIT else 2
 
 
-def _digits(text: Text):
-    """Each symbol as a digit 1..base-1, then digit 0 for past the end.
+def _pack_keys(text: Text):
+    """Every suffix's first ``width`` symbols packed into one int64 key.
 
-    Byte mode: symbol + 1 in base 257 (int16); token mode: dense rank + 1,
-    the token's place among the distinct tokens (int32), in base one above
-    the largest digit.
-    Returns the digits, base, and width: the most digits one int64 key
-    packs, base**width <= 2**63.
+    Each symbol becomes a digit 1..base-1, then digit 0 stands for past the
+    end: in byte mode symbol + 1 in base 257 (int16); in token mode dense
+    rank + 1, the token's place among the distinct tokens (int32), in base
+    one above the largest digit.  width is the most digits one key packs,
+    base**width <= 2**63.  key[n] = 0 is the empty suffix.  Keys compare
+    like the suffixes' first ``width`` symbols, a shorter suffix first.
+    Returns (key, width); the digits die here.
     """
     import numpy as np
     n = len(text)
@@ -139,34 +171,19 @@ def _digits(text: Text):
     width = 1
     while base ** (width + 1) <= _KEY_LIMIT:
         width += 1
-    return digits, base, width
-
-
-def _pack_keys(digits: np.ndarray, base: int, width: int) -> np.ndarray:
-    """Every suffix's first ``width`` digits packed into one int64 key.
-
-    key[n] = 0 is the empty suffix.  Keys compare like the suffixes' first
-    ``width`` symbols, a shorter suffix first.
-    """
-    import numpy as np
-    n = len(digits) - 1
     key = np.zeros(n + 1, dtype=np.int64)
     for j in range(width):
         key *= base
         if j < n:
             key[: n - j] += digits[j:n]
-    return key
+    return key, width
 
 
-# joined of two adjacent slots whose group no round has split yet
-_UNSPLIT = 127
-
-
-def _group_batches(active: np.ndarray, joined: np.ndarray, level: int):
-    """Cut ``active`` into batches of whole level-``level`` groups.
+def _group_batches(active: np.ndarray, end: np.ndarray):
+    """Cut ``active`` into batches of whole groups.
 
     ``active`` lists the SA slots of the groups with more than one member,
-    ascending, and slot x ends its group when joined[x] <= level.  Yields
+    ascending, and end[x] is set where slot x ends its group.  Yields
     (p, q, was_end) for the batch active[p:q]: groups holding at most
     ``_BATCH`` slots together, or one group larger than that; was_end marks
     the batch's slots that end a group.
@@ -176,7 +193,7 @@ def _group_batches(active: np.ndarray, joined: np.ndarray, level: int):
     p = 0
     while p < m:
         q = min(p + _BATCH, m)
-        was_end = joined[active[p:q]] <= level
+        was_end = end[active[p:q]]
         if q < m:
             ends = np.flatnonzero(was_end)
             if ends.size:
@@ -188,11 +205,11 @@ def _group_batches(active: np.ndarray, joined: np.ndarray, level: int):
                 # looked for in windows that double
                 x = int(active[p]) + _BATCH
                 span = _BATCH
-                ends = np.flatnonzero(joined[x:x + span] <= level)
+                ends = np.flatnonzero(end[x:x + span])
                 while not ends.size:
                     x += span
                     span *= 2
-                    ends = np.flatnonzero(joined[x:x + span] <= level)
+                    ends = np.flatnonzero(end[x:x + span])
                 q = p + x + int(ends[0]) - int(active[p]) + 1
                 was_end = np.zeros(q - p, dtype=bool)
                 was_end[-1] = True
@@ -200,44 +217,18 @@ def _group_batches(active: np.ndarray, joined: np.ndarray, level: int):
         p = q
 
 
-def _sort_by_keys(key: np.ndarray, sa: np.ndarray, same: np.ndarray) -> None:
+def _sort_by_keys(key: np.ndarray, sa: np.ndarray, end: np.ndarray) -> None:
     """Sort the suffixes into sa by their packed keys.
 
-    Sets same[e] where the suffixes in slots e and e+1 have equal keys.
+    Writes end[e], e < n - 1: whether the suffixes in slots e and e+1 have
+    different keys.
     """
     import numpy as np
     n = len(sa)
     sa[:] = np.argsort(key[:n])
     for lo in range(0, n - 1, _BATCH):
         edge = key[sa[lo:lo + _BATCH + 1]]
-        np.equal(edge[1:], edge[:-1], out=same[lo:lo + len(edge) - 1])
-
-
-def _first_groups(sa: np.ndarray, pad: np.ndarray):
-    """Ranks of level 0, and the ascending slots of its open groups.
-
-    pad[1 + e] is 1 where slots e and e+1 are in one group and pad[0] = 0.
-    Returns rank (int32, rank[n] = -1) and the slots of the groups with
-    more than one member.
-    """
-    import numpy as np
-    n = len(sa)
-    same = pad.view(bool)[1:]
-    rank = np.empty(n + 1, dtype=np.int32)
-    rank[n] = -1
-    opened = []
-    end = n - 1
-    for lo in reversed(range(0, n, _BATCH)):
-        hi = min(lo + _BATCH, n)
-        slots = np.arange(lo, hi, dtype=np.int32)
-        ends = np.where(same[lo:hi], end, slots)
-        # each slot's end is the first end slot from it on
-        np.minimum.accumulate(ends[::-1], out=ends[::-1])
-        rank[sa[lo:hi]] = ends
-        end = int(ends[0])
-        # pad[lo:hi] says whether each slot joins the one before it
-        opened.append(slots[same[lo:hi] | pad.view(bool)[lo:hi]])
-    return rank, np.concatenate(opened[::-1])
+        np.not_equal(edge[1:], edge[:-1], out=end[lo:lo + len(edge) - 1])
 
 
 def _sort_groups(sa: np.ndarray, rank: np.ndarray, slots: np.ndarray,
@@ -275,8 +266,8 @@ def _sort_groups(sa: np.ndarray, rank: np.ndarray, slots: np.ndarray,
     return is_end
 
 
-def _prefix_tupling(key: np.ndarray, width: int, k: int, sa: np.ndarray):
-    """Fill sa (int32) with the 0-based SA; return how long adjacent slots stay grouped.
+def _prefix_tupling(text: Text, k: int, sa: np.ndarray) -> None:
+    """Fill sa (int32) with the 0-based SA of text.
 
     Larsson-Sadakane ranks: rank[i] is the end slot of suffix i's group.
     Round j re-sorts only the suffixes of groups with more than one member,
@@ -287,40 +278,36 @@ def _prefix_tupling(key: np.ndarray, width: int, k: int, sa: np.ndarray):
     of sa at once; ranks change only after the last batch, so every key of
     the round reads the ranks from before it.  So before round j, rank[i]
     == rank[i'] for i != i' exactly when suffixes i and i' share their
-    first width*k**j symbols: that grouping is level j, and each of its
-    groups is a run of SA slots.  joined[e] (int8) ends as the number of
-    levels at which slots e and e+1 are in one group, written when their
-    group splits them (``_UNSPLIT`` until then); the count of rounds is the
-    count of levels.  ``key`` is the caller's only reference: it is freed
-    once level 0 is sorted.
+    first width*k**j symbols, and each group is a run of SA slots.  end[x]
+    (one bool a slot) marks the slots that end their group; a round only
+    sets more of them.  Level 0 is sorted by the packed keys
+    (``_pack_keys``), which are freed once they are; its ranks come from
+    the same pass over its groups as every round's, one that sorts nothing.
     """
     import numpy as np
-    n = len(key) - 1
-    # one byte before joined stands for slot -1, which joins no slot
-    pad = np.zeros(n + 1, dtype=np.int8)
-    joined = pad[1:]
-    _sort_by_keys(key, sa, pad.view(bool)[1:])
+    n = len(sa)
+    key, width = _pack_keys(text)
+    end = np.ones(n, dtype=bool)
+    _sort_by_keys(key, sa, end)
     del key
-    rank, active = _first_groups(sa, pad)
-    # joined slots stay _UNSPLIT until a round splits them
-    pad *= _UNSPLIT
-    rounds = 0
-    h = width
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[n] = -1
+    active = np.arange(n, dtype=np.int32)
+    h = 0
     while active.size:
         # two suffixes sharing h symbols are both at least h long
         if h >= n:
             raise RuntimeError(f"suffix groups still open at prefix length {h}")
-        rounds += 1
         # for each active slot: the rank of the suffix sorted into it, and
         # whether its new group still has more than one member
         fresh = np.empty_like(active)
         keep = np.empty(len(active), dtype=bool)
-        for p, q, was_end in _group_batches(active, joined, rounds - 1):
+        for p, q, was_end in _group_batches(active, end):
             slots = active[p:q]
-            is_end = _sort_groups(sa, rank, slots, was_end, h, k)
+            is_end = _sort_groups(sa, rank, slots, was_end, h, k) if h else was_end
             end_at = np.flatnonzero(is_end)
             fresh[p:q] = np.repeat(slots[end_at], np.diff(end_at, prepend=-1))
-            joined[slots[is_end > was_end]] = rounds
+            end[slots] = is_end
             np.logical_not(is_end, out=keep[p:q])
             keep[p + 1:q] |= ~is_end[:-1]
         for p in range(0, len(active), _BATCH):
@@ -328,91 +315,18 @@ def _prefix_tupling(key: np.ndarray, width: int, k: int, sa: np.ndarray):
         # slots is a view of active, which the next line replaces
         del fresh, slots
         active = active[keep]
-        h *= k
-    return joined, rounds
-
-
-def _adjacent_lcp(sa: np.ndarray, joined: np.ndarray, rounds: int,
-                  digits: np.ndarray, width: int, k: int,
-                  lcp: np.ndarray) -> None:
-    """Fill lcp[r] (int32) with the LCP of suffixes sa[r-1] and sa[r].
-
-    Each pair's LCP is below width*k**rounds.  Level j, rebuilt from
-    ``joined`` as a group number per suffix, tells whether two suffixes
-    share width*k**j symbols.  So taking the levels from the top and
-    advancing both suffixes by that many symbols, up to k-1 times at each
-    level while their groups agree, leaves less than ``width`` symbols,
-    compared one at a time.  lcp holds each pair's advance so far, so the
-    suffixes it compares start at sa[r-1] + lcp[r] and sa[r] + lcp[r].  A
-    pair whose slots share no level-j group has not advanced and cannot at
-    level j, so each level takes only the pairs with joined > j.  Both
-    passes go in batches of ``_BATCH`` slots.
-    """
-    import numpy as np
-    n = len(sa)
-    level = np.empty(n + 1, dtype=np.int32)
-    level[n] = -1
-    h = width * k ** rounds
-    for j in reversed(range(rounds)):
-        h //= k
-        # level[i]: the number of level-j groups before suffix i's
-        groups = 0
-        for lo in range(0, n, _BATCH):
-            cut = joined[lo:lo + _BATCH] <= j
-            group = np.cumsum(cut, dtype=np.int32)
-            group += groups
-            groups = int(group[-1])
-            group -= cut
-            level[sa[lo:lo + _BATCH]] = group
-        for lo in range(0, n, _BATCH):
-            r = np.flatnonzero(joined[lo:lo + _BATCH] > j)
-            r += lo + 1
-            d = np.take(lcp, r)
-            a = np.take(sa, r - 1)
-            a += d
-            b = np.take(sa, r)
-            b += d
-            step = np.empty_like(d)
-            for _ in range(k - 1):
-                same = np.take(level, a) == np.take(level, b)
-                if not same.any():
-                    break
-                np.multiply(same, h, out=step)
-                a += step
-                b += step
-                d += step
-            lcp[r] = d
-    for lo in range(1, n, _BATCH):
-        d = lcp[lo:lo + _BATCH]
-        a = sa[lo - 1:lo - 1 + len(d)] + d
-        b = sa[lo:lo + len(d)] + d
-        # a pair that differs stays put, so it differs at every later step
-        for _ in range(width - 1):
-            same = np.take(digits, a) == np.take(digits, b)
-            if not same.any():
-                break
-            a += same
-            b += same
-            d += same
+        h = h * k if h else width
 
 
 def build_suffix_index(text: Text) -> SuffixIndex:
-    """Build the suffix array and the LCP array."""
+    """Build the suffix array."""
     n = len(text)
     if n >= 1 << 31:
         raise ValueError("suffix positions must fit 31 bits")
-    if n == 0:
-        return SuffixIndex(text, array("i"), array("i"))
-    import numpy as np
-    digits, base, width = _digits(text)
-    k = _fold_count(n)
     sa = array("i", [0]) * n
-    sa_view = np.frombuffer(sa, dtype=np.intc)
-    # the keys die once they have sorted level 0
-    joined, rounds = _prefix_tupling(_pack_keys(digits, base, width), width,
-                                     k, sa_view)
-    lcp = array("i", [0]) * n
-    _adjacent_lcp(sa_view, joined, rounds, digits, width, k,
-                  np.frombuffer(lcp, dtype=np.intc))
-    sa_view += 1
-    return SuffixIndex(text, sa, lcp)
+    if n:
+        import numpy as np
+        sa_view = np.frombuffer(sa, dtype=np.intc)
+        _prefix_tupling(text, _fold_count(n), sa_view)
+        sa_view += 1
+    return SuffixIndex(text, sa)

@@ -108,3 +108,40 @@ class Text:
         if self.is_byte_mode and len(self) <= 40:
             return f"Text({self.to_str()!r})"
         return f"Text(<{len(self)} symbols, alphabet={self.alphabet_size}>)"
+
+
+def _prefix_compare(text: Text):
+    """(buf, w, common_prefix) for direct compares of text's suffixes.
+
+    buf is the text as one flat buffer of w bytes a symbol: the symbols
+    themselves in byte mode (w = 1), a copy of the token array's machine
+    words in token mode.  common_prefix(a, b, cap) counts the whole symbols
+    shared by buf[a:] and buf[b:] (byte offsets a and b), comparing at most
+    cap bytes.  It compares blocks of 16, 32, 64, ... bytes until one
+    differs.  There the lowest set bit of the two blocks' XOR, read
+    little-endian, marks the first differing byte, which lies in the first
+    differing symbol.
+    """
+    syms = text.symbols
+    if text.is_byte_mode:
+        buf, w = syms, 1
+    else:
+        buf, w = syms.tobytes(), syms.itemsize
+
+    def common_prefix(a: int, b: int, cap: int) -> int:
+        lo = 0
+        step = 16
+        while lo < cap:
+            hi = lo + step
+            if hi > cap:
+                hi = cap
+            x = buf[a + lo:a + hi]
+            y = buf[b + lo:b + hi]
+            if x != y:
+                diff = int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
+                return (lo + ((diff & -diff).bit_length() - 1 >> 3)) // w
+            lo = hi
+            step <<= 1
+        return cap // w
+
+    return buf, w, common_prefix

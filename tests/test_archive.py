@@ -78,6 +78,10 @@ def test_token_symbol_above_32_bits_rejected():
         deserialize(blob)
     top = Factorization([Char((1 << 32) - 1), Copy(1, 1)], alphabet_size=1 << 32)
     assert deserialize(serialize(top)).factors == top.factors
+    # serialize writes only what deserialize reads
+    over = Factorization([Char(1 << 33), Copy(1, 1)], alphabet_size=1 << 32)
+    with pytest.raises(ArchiveError, match="exceeds 32 bits"):
+        serialize(over)
 
 
 def test_random_roundtrips():

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzse import baselines
+from lzse import baselines, suffixindex
 from lzse.baselines import (METHODS, Lz77Factor, LzssFactor, extract_field_streams,
                             h0, lz77_factorize, lzss_factorize, size_report)
 from lzse.factorization import Char, Factorization
@@ -251,9 +251,30 @@ def test_neighbour_scan_matches_reference_tokens():
     Text.from_str("ab" * 1500),
     Text.from_str("abcab" * 700),
     block_repetitive(5, 1 << 16),
-], ids=["unary", "unary-then-b", "periodic-2", "periodic-5", "block-64KiB"])
+    # short factors: most starts are settled by their first two symbols
+    random_text(random.Random(256), 4000, 256),
+    Text.from_tokens(map(random.Random(300).randrange, [300] * 4000)),
+], ids=["unary", "unary-then-b", "periodic-2", "periodic-5", "block-64KiB",
+        "random-sigma256", "tokens-sigma300"])
 def test_neighbour_scan_matches_reference_structured(text):
     assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_lz_parses_never_compute_the_lcp(fork, monkeypatch):
+    # the parses compare the text at each factor start; the LCP array is
+    # only for readers of SuffixIndex.lcp
+    def no_lcp(idx):
+        raise AssertionError("the LCP array was computed")
+
+    monkeypatch.setattr(suffixindex.SuffixIndex, "lcp", property(no_lcp))
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    text = FORK_TEXTS["periodic"]
+    assert set(size_report(METHODS, text)["methods"]) == set(METHODS)
+    assert lz77_factorize(text) and lzss_factorize(text)
+    with pytest.raises(AssertionError, match="LCP array"):
+        suffixindex.build_suffix_index(text).lcp
 
 
 @settings(max_examples=150, deadline=None)

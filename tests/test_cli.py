@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +304,26 @@ def test_extract_refuses_above_symbol_limit(sample, tmp_path, capsys, monkeypatc
     assert main(["extract", str(huge), "-l", "1", "-r", str(10 ** 12)]) == 2
     assert capsys.readouterr().err == (f"error: extract of {10 ** 12} symbols is "
                                        f"above the limit of {1 << 26}\n")
+
+
+def test_token_extract_peak_memory_per_symbol(tmp_path, monkeypatch):
+    # a token range is written a chunk at a time: a decimal str for every
+    # symbol of the range, and their join, take about 80 bytes a symbol
+    n = 1 << 18
+    symbols = [(1 << 32) - 1 - k % 97 for k in range(n)]
+    arc = tmp_path / "tokens.lzse"
+    arc.write_bytes(archive.serialize(greedy.greedy_factorize(Text.from_tokens(symbols))))
+    out = tmp_path / "out"
+    with open(out, "w") as fh:
+        monkeypatch.setattr(sys, "stdout", fh)
+        tracemalloc.start()
+        try:
+            assert main(["extract", str(arc), "-l", "1", "-r", str(n)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.read_text() == " ".join(map(str, symbols)) + "\n"
+    assert peak <= 16 * n
 
 
 @pytest.mark.parametrize("family,flag,largest,limit,refused", [

@@ -48,3 +48,14 @@ def test_top_level_exports():
     assert set(EXPORTS) <= set(run.stdout.split()), run.stderr
     with pytest.raises(AttributeError):
         lzse.no_such_name
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so no check of the package may be one
+    package = Path(lzse.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

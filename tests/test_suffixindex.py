@@ -246,7 +246,7 @@ def test_fold_keys_past_int32(fold, name, text):
 
 @pytest.fixture(params=[1, 2, 7, None], ids=["batch1", "batch2", "batch7", "batch-default"])
 def batch(request, monkeypatch):
-    """The slots a batch of a tupling round or of the LCP descent covers.
+    """The slots a batch of a tupling round or of a pass over level 0 covers.
 
     Below the default, batches end inside texts of a few symbols, and
     groups larger than a batch are sorted alone.
@@ -298,14 +298,13 @@ def test_group_larger_than_a_batch(batch):
 
 def test_build_peak_memory_per_symbol(monkeypatch):
     # Bytes held per symbol, at most, with 16 batches to a text:
-    #   throughout: sa (int32, handed over) 4, the digits (int16) 2;
+    #   throughout: sa (int32, handed over) 4, group ends (bool) 1;
     #   level 0: packed keys (int64) 8, argsort's order (int64) 8;
-    #   rounds: ranks 4, joined (int8) 1, and per open slot its int32 slot
-    #     and new rank and one bool, 9;
-    #   LCPs: lcp (int32, handed over) 4, joined 1, level-j groups 4;
+    #   passes over groups: ranks 4, and per open slot its int32 slot and
+    #     new rank and one bool, 9;
     #   a batch's temporaries, about 40 bytes a slot, 2.5.
-    # So level 0 peaks at about 24.5 and the rounds at 22.5; 36 leaves room
-    # and fails the 59 of full-size rounds and of lcp copied out at the end.
+    # So level 0 peaks at about 23.5 and the passes at 20.5 (21.1 measured);
+    # 36 leaves room and fails the 48-50 of one batch over the whole text.
     rng = random.Random(9)
     for text in (Text.from_bytes(zipf_words_pattern(rng, 1 << 14) * 4),
                  block_repetitive(7, 1 << 16)):
