@@ -106,10 +106,6 @@ class Factorization:
     def z(self) -> int:
         return len(self.start)
 
-    def factor(self, i: int) -> Char | Copy:
-        l, k = self.start[i - 1], self.count[i - 1]
-        return Copy(l, k) if l else Char(k)
-
     def pos_l(self, i: int) -> int:
         return self.bounds[i - 1]
 

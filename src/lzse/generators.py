@@ -93,6 +93,8 @@ def gen_unary(n: int) -> Text:
 def gen_random(n: int, sigma: int, seed: int) -> Text:
     if n < 0 or sigma < 1:
         raise ValueError("need n >= 0 and sigma >= 1")
+    if sigma > TOKEN_ALPHABET:
+        raise ValueError(f"sigma {sigma} is above the {TOKEN_ALPHABET} token symbols")
     rng = random.Random(seed)
     draws = (rng.randrange(sigma) for _ in range(n))
     if sigma <= BYTE_ALPHABET:

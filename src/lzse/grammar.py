@@ -1,20 +1,20 @@
-"""Grammars generating a single string: expansion, SLP form, LZSE conversion,
-Re-Pair compression and the semigroup range-sum evaluator.
+"""Grammars generating a single string: LZSE conversion and Re-Pair
+compression.
 
 A grammar maps nonterminal ids to their single production; any symbol
 without a production is a terminal.  Nonterminal ids must therefore not
 collide with terminal symbol values (Re-Pair allocates them above the
-alphabet).
+alphabet).  The grammar expander, the SLP (Chomsky normal) form and the
+semigroup range-sum evaluator, which only the tests run, live in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import NamedTuple
 
 from .factorization import Factorization
 from .text import Text, alphabet_for
@@ -27,7 +27,7 @@ class GrammarError(ValueError):
 class Cfg:
     """Context-free grammar with exactly one production per nonterminal."""
 
-    __slots__ = ("rules", "start", "order", "_lengths")
+    __slots__ = ("rules", "start", "order")
 
     def __init__(self, rules: dict[int, tuple[int, ...]], start: int):
         self.rules = {x: tuple(rhs) for x, rhs in rules.items()}
@@ -38,7 +38,6 @@ class Cfg:
             if len(rhs) == 0:
                 raise GrammarError(f"empty production for {x}")
         self.order = self._topological_order()
-        self._lengths: dict[int, int] | None = None
 
     def is_terminal(self, sym: int) -> bool:
         return sym not in self.rules
@@ -77,94 +76,6 @@ class Cfg:
                 stack.append((y, 0))
         return order
 
-    def expansion_lengths(self) -> dict[int, int]:
-        if self._lengths is None:
-            lengths: dict[int, int] = {}
-            for x in self.order:
-                lengths[x] = sum(1 if self.is_terminal(s) else lengths[s]
-                                 for s in self.rules[x])
-            self._lengths = lengths
-        return self._lengths
-
-
-class Slp(Cfg):
-    """Grammar in Chomsky normal form: X -> c or X -> Y Z."""
-
-    def __init__(self, rules: dict[int, tuple[int, ...]], start: int):
-        super().__init__(rules, start)
-        for x, rhs in self.rules.items():
-            if len(rhs) == 1:
-                if not self.is_terminal(rhs[0]):
-                    raise GrammarError(f"unit rule {x} -> {rhs[0]} is not CNF")
-            elif len(rhs) == 2:
-                if self.is_terminal(rhs[0]) or self.is_terminal(rhs[1]):
-                    raise GrammarError(f"terminal inside binary rule of {x}")
-            else:
-                raise GrammarError(f"rule of {x} has arity {len(rhs)}")
-
-
-def expand(g: Cfg, alphabet_size: int | None = None) -> Text:
-    """The unique string generated by the grammar."""
-    out: list[int] = []
-    rules = g.rules
-    stack = [iter(rules[g.start])]
-    while stack:
-        try:
-            sym = next(stack[-1])
-        except StopIteration:
-            stack.pop()
-            continue
-        if sym in rules:
-            stack.append(iter(rules[sym]))
-        else:
-            out.append(sym)
-    if alphabet_size is None:
-        alphabet_size = alphabet_for(out)
-    return Text(out, alphabet_size)
-
-
-def cfg_to_slp(g: Cfg) -> Slp:
-    """Left-to-right binarization into Chomsky normal form.
-
-    Terminals inside long right-hand sides get shared wrapper rules, so
-    the output size is at most 2 * size(g) plus one per distinct wrapped
-    terminal.
-    """
-    next_id = max(list(g.rules) + [max((s for rhs in g.rules.values() for s in rhs),
-                                       default=0)]) + 1
-    rules: dict[int, tuple[int, ...]] = {}
-    wrappers: dict[int, int] = {}
-
-    def fresh() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    def wrapped(sym: int) -> int:
-        if not g.is_terminal(sym):
-            return sym
-        if sym not in wrappers:
-            w = fresh()
-            wrappers[sym] = w
-            rules[w] = (sym,)
-        return wrappers[sym]
-
-    for x in g.order:
-        rhs = g.rules[x]
-        if len(rhs) == 1:
-            sym = rhs[0]
-            if g.is_terminal(sym):
-                rules[x] = (sym,)
-            else:
-                rules[x] = rules[sym]  # collapse unit rule onto its target
-            continue
-        cur = x
-        for t in range(len(rhs) - 2):
-            nxt = fresh()
-            rules[cur] = (wrapped(rhs[t]), nxt)
-            cur = nxt
-        rules[cur] = (wrapped(rhs[-2]), wrapped(rhs[-1]))
-    return Slp(rules, g.start)
 
 
 def grammar_to_lzse(g: Cfg, alphabet_size: int | None = None) -> Factorization:
@@ -581,109 +492,3 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
         seq.append(sym[i])
         i = nxt[i]
     return seq
-
-
-class OrspResult(NamedTuple):
-    answers: list
-    operations: int
-
-
-def orsp_solve_from_slp(slp: Slp, is_delimiter: Callable[[int], bool],
-                        op: Callable, lift: Callable[[int], object]) -> OrspResult:
-    """Answer all range-sum queries encoded in an ORSP-shaped string.
-
-    The expansion must look like x_1..x_m $_1 Q_1 $_2 ... $_m Q_m $_{m+1}.
-    Bottom-up, each nonterminal gets the folded values of its longest
-    delimiter-free prefix and suffix; query i is then answered at the
-    unique rule splitting delimiters i and i+1.  Only genuine op
-    applications are counted.
-    """
-    rules = slp.rules
-    ops = 0
-
-    def combine(x, y):
-        nonlocal ops
-        if x is None:
-            return y
-        if y is None:
-            return x
-        ops += 1
-        return op(x, y)
-
-    delims: dict[int, int] = {}  # delimiter count per nonterminal
-    head: dict[int, object] = {}
-    tail: dict[int, object] = {}
-    for x in slp.order:
-        rhs = rules[x]
-        if len(rhs) == 1:
-            c = rhs[0]
-            if is_delimiter(c):
-                delims[x] = 1
-                head[x] = tail[x] = None
-            else:
-                delims[x] = 0
-                head[x] = tail[x] = lift(c)
-            continue
-        y, z = rhs
-        delims[x] = delims[y] + delims[z]
-        if delims[x] == 0:
-            head[x] = tail[x] = combine(head[y], head[z])
-            continue
-        head[x] = head[y] if delims[y] else combine(head[y], head[z])
-        tail[x] = tail[z] if delims[z] else combine(tail[y], tail[z])
-
-    total_delims = delims[slp.start]
-    if total_delims < 2:
-        raise GrammarError("not an ORSP string: fewer than two delimiters")
-    m = total_delims - 1
-    # shape checks: first delimiter right after the m-symbol prefix, and a
-    # delimiter at the very end
-    if _first_delim_position(slp, delims) != m + 1:
-        raise GrammarError("not an ORSP string: misplaced first delimiter")
-    if not _last_symbol_is_delimiter(slp, is_delimiter):
-        raise GrammarError("not an ORSP string: must end with a delimiter")
-
-    answers = []
-    for i in range(1, m + 1):
-        x = slp.start
-        offset = 0
-        while True:
-            y, z = rules[x]
-            dy = delims[y]
-            if i - offset <= dy and i + 1 - offset > dy:
-                q = combine(tail[y], head[z])
-                if q is None:
-                    raise GrammarError(f"empty range body for query {i}")
-                answers.append(q)
-                break
-            if i + 1 - offset <= dy:
-                x = y
-            else:
-                offset += dy
-                x = z
-    return OrspResult(answers, ops)
-
-
-def _first_delim_position(slp: Slp, delims: dict[int, int]) -> int:
-    pos = 0
-    x = slp.start
-    lengths = slp.expansion_lengths()
-    while True:
-        rhs = slp.rules[x]
-        if len(rhs) == 1:
-            return pos + 1
-        y, z = rhs
-        if delims[y]:
-            x = y
-        else:
-            pos += lengths[y]
-            x = z
-
-
-def _last_symbol_is_delimiter(slp: Slp, is_delimiter: Callable[[int], bool]) -> bool:
-    x = slp.start
-    while True:
-        rhs = slp.rules[x]
-        if len(rhs) == 1:
-            return is_delimiter(rhs[0])
-        x = rhs[1]

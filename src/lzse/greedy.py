@@ -1,12 +1,11 @@
-"""Greedy LZSE parsing: trie-based practical parser and brute-force oracle.
+"""Greedy LZSE parsing over the extended-factor trie.
 
-Both parsers scan left to right and take the longest prefix of the unparsed
+The parser scans left to right and takes the longest prefix of the unparsed
 suffix that equals a contiguous run of existing factors, breaking length
 ties by the leftmost source start.  When no run matches, a char factor is
-emitted.  The two implementations must agree factor-for-factor, sources
-included; the oracle enumerates every factor start whose first symbol
-matches, the practical parser only the starts marked in the extended-factor
-trie.
+emitted.  Only the factor starts marked in the extended-factor trie are
+tried; the brute-force oracles in ``tests/helpers.py``, which try every
+start that can match, pin its output factor for factor, sources included.
 
 The practical parser needs no index.  It holds the text once as a flat
 buffer (one byte per symbol in byte mode, four in token mode), and every
@@ -188,50 +187,3 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
             insert(v, p - flen + dep[v], p, (k, p - flen + 1))
     return Factorization.from_lists(starts, counts, n, text.alphabet_size)
 
-
-def greedy_factorize_oracle(text: Text) -> Factorization:
-    """Reference greedy parser trying every factor start that can match.
-
-    Quadratic per step and index-free: match lengths come from direct symbol
-    comparison.  Only factors whose first symbol is the next one are tried,
-    from per-symbol lists in index order; any other start matches nothing,
-    so it could not beat or tie a candidate.  Used to pin down the practical
-    parser's output exactly.
-    """
-    n = len(text)
-    syms = text.symbols
-    starts: list[int] = []
-    counts: list[int] = []
-    bounds = [1]
-    by_first: dict[int, list[int]] = {}  # first symbol -> factor indices
-    p = 0
-    while p < n:
-        best_len = 0
-        best_pos = n + 2
-        best_start = best_end = 0
-        for fi in by_first.get(syms[p], ()):
-            fpos = bounds[fi - 1]
-            cap = p - fpos + 1
-            d = 0
-            base = fpos - 1
-            while d < cap and p + d < n and syms[p + d] == syms[base + d]:
-                d += 1
-            j = bisect_right(bounds, fpos + d) - 1
-            if j < fi:
-                continue
-            cand = bounds[j] - fpos
-            if cand > best_len or (cand == best_len and fpos < best_pos):
-                best_len = cand
-                best_pos = fpos
-                best_start = fi
-                best_end = j
-        if best_len == 0:  # a char factor
-            l, c, flen = 0, syms[p], 1
-        else:
-            l, c, flen = best_start, best_end - best_start + 1, best_len
-        starts.append(l)
-        counts.append(c)
-        bounds.append(bounds[-1] + flen)
-        by_first.setdefault(syms[p], []).append(len(starts))
-        p += flen
-    return Factorization.from_lists(starts, counts, n, text.alphabet_size)

@@ -8,7 +8,8 @@ the LCA of nodes u <= v is the first node on the root path whose id lies
 in [u, v].  Searching costs O(log(span(start)/span(found))) node visits;
 precomputed hints (three LCA nodes per query range: the range's own, found
 by that root-path descent, and one per side of it, found by descending from
-its children) let a search start below the root.
+its children) let a search start below the root.  ``subtree_spans``, with
+which the tests check the halving invariant, is in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ class Ibst:
                 return v, visits
             v = self.left[v] if q < b[v] else self.right[v]
 
-    def search(self, q: int) -> int:
-        return self.search_counted(q)[0]
-
     def search_counted(self, q: int) -> tuple[int, int]:
         """(interval index containing q, nodes visited), searching from the root."""
         b = self.boundaries
@@ -106,9 +104,6 @@ class Ibst:
                 vr = self.left[vr]
         return Hint(i, j, c, vl, vr)
 
-    def precompute_hints(self, ranges) -> list[Hint]:
-        return [self.hint_for(i, j) for i, j in ranges]
-
     def search_with_hint_counted(self, hint: Hint, q: int) -> tuple[int, int]:
         """Hint-accelerated search; q must lie inside the hint's range."""
         b = self.boundaries
@@ -123,25 +118,3 @@ class Ibst:
             v, visits = self._descend(hint.right, q)
         return v, visits + 1
 
-    # -- verification helpers -------------------------------------------------
-
-    def subtree_spans(self) -> list[tuple[int, int, int]]:
-        """(node, own span, subtree span) triples, for the halving invariant."""
-        lo = list(range(self.m))
-        hi = [i + 1 for i in range(self.m)]
-        order = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            if v < 0:
-                continue
-            order.append(v)
-            stack.append(self.left[v])
-            stack.append(self.right[v])
-        b = self.boundaries
-        for v in reversed(order):
-            for ch in (self.left[v], self.right[v]):
-                if ch >= 0:
-                    lo[v] = min(lo[v], lo[ch])
-                    hi[v] = max(hi[v], hi[ch])
-        return [(v, b[v + 1] - b[v], b[hi[v]] - b[lo[v]]) for v in range(self.m)]

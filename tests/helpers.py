@@ -1,4 +1,4 @@
-"""Shared brute-force oracles and fixture generators for the test suite.
+"""Shared brute-force oracles, test-only algorithms and fixture generators.
 
 Everything here is deliberately independent of the library's fast paths:
 suffix sorting by direct string comparison, LCP by character scan, path
@@ -6,18 +6,27 @@ counting by exhaustive enumeration, heavy edges by scanning each copy's
 source, Re-Pair by full numpy rescans of the sequence in every round,
 LZ77/LZSS by two nearest-smaller-position passes plus range-minimum LCP
 queries and decoded symbol by symbol, greedy LZSE from a per-symbol trie
-plus the same LCP queries, greedy LZSE from every earlier factor start
-(``greedy_factorize_oracle_all_starts``), IBST hints from three root-path
-LCA descents,
-random access by following the paper's jump function one factor at a
-time, extended factors straight from their definition, and
-random-but-valid factorizations built factor by factor.
+plus the same LCP queries, greedy LZSE by direct comparison from every
+factor start whose first symbol matches (``greedy_factorize_oracle``) and
+from every earlier factor start (``greedy_factorize_oracle_all_starts``),
+IBST hints from three root-path LCA descents and subtree spans for the
+halving invariant, random access by following the paper's jump function
+one factor at a time, extended factors straight from their definition,
+and random-but-valid factorizations built factor by factor.
+
+The package runs none of the paper's grammar checks, so they live here
+too: a grammar's expansion (``expand``), its Chomsky normal form
+(``Slp``, ``cfg_to_slp``) and the semigroup range-sum evaluator over that
+form (``orsp_solve_from_slp``), which answers an ORSP instance's queries
+from its grammar (acceptance criterion 3).
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +38,7 @@ from lzse.generators import OrspInstance
 from lzse.grammar import Cfg, GrammarError
 from lzse.ibst import Hint, Ibst
 from lzse.suffixindex import RangeArgMin, SuffixIndex, build_suffix_index
-from lzse.text import Text
+from lzse.text import Text, alphabet_for
 
 
 def brute_suffix_sort(text: Text) -> list[int]:
@@ -198,6 +207,34 @@ def hint_for_reference(t: Ibst, i: int, j: int) -> Hint:
     return Hint(i, j, c, vl, vr)
 
 
+def subtree_spans(t: Ibst) -> list[tuple[int, int, int]]:
+    """(node, own span, subtree span) triples, for the halving invariant."""
+    lo = list(range(t.m))
+    hi = [i + 1 for i in range(t.m)]
+    order = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            continue
+        order.append(v)
+        stack.append(t.left[v])
+        stack.append(t.right[v])
+    b = t.boundaries
+    for v in reversed(order):
+        for ch in (t.left[v], t.right[v]):
+            if ch >= 0:
+                lo[v] = min(lo[v], lo[ch])
+                hi[v] = max(hi[v], hi[ch])
+    return [(v, b[v + 1] - b[v], b[hi[v]] - b[lo[v]]) for v in range(t.m)]
+
+
+def factor(fact: Factorization, i: int) -> Char | Copy:
+    """Factor i (1-based) as a ``Char`` or ``Copy`` tuple."""
+    l, k = fact.start[i - 1], fact.count[i - 1]
+    return Copy(l, k) if l else Char(k)
+
+
 def factor_at(fact: Factorization, p: int) -> int:
     """Index of the factor containing 1-based text position p."""
     if not 1 <= p <= fact.n:
@@ -217,7 +254,7 @@ def jump(fact: Factorization, i: int, r: int) -> tuple[int, int]:
     Returns the (factor index, relative offset) of position
     src_l(i) + r - 1, i.e. rel(q) for the referenced position q.
     """
-    if not isinstance(fact.factor(i), Copy):
+    if not isinstance(factor(fact, i), Copy):
         raise FactorizationError(f"factor {i} is a char factor; jump undefined")
     if not 1 <= r <= fact.length(i):
         raise FactorizationError(f"offset {r} out of range for factor {i}")
@@ -228,10 +265,10 @@ def jump(fact: Factorization, i: int, r: int) -> tuple[int, int]:
 def access_naive(fact: Factorization, p: int) -> int:
     """Symbol at 1-based position p by following the jump sequence."""
     i, r = rel(fact, p)
-    f = fact.factor(i)
+    f = factor(fact, i)
     while isinstance(f, Copy):
         i, r = jump(fact, i, r)
-        f = fact.factor(i)
+        f = factor(fact, i)
     return f.symbol
 
 
@@ -324,6 +361,201 @@ def orsp_instance(m: int, queries) -> OrspInstance:
         tokens.extend(range(l - 1, r))
     tokens.append(2 * m)
     return OrspInstance(m, queries, Text(tokens, alphabet_size=2 * m + 1))
+
+
+def expansion_lengths(g: Cfg) -> dict[int, int]:
+    """Length of each nonterminal's expansion."""
+    lengths: dict[int, int] = {}
+    for x in g.order:
+        lengths[x] = sum(1 if g.is_terminal(s) else lengths[s]
+                         for s in g.rules[x])
+    return lengths
+
+
+class Slp(Cfg):
+    """Grammar in Chomsky normal form: X -> c or X -> Y Z."""
+
+    def __init__(self, rules: dict[int, tuple[int, ...]], start: int):
+        super().__init__(rules, start)
+        for x, rhs in self.rules.items():
+            if len(rhs) == 1:
+                if not self.is_terminal(rhs[0]):
+                    raise GrammarError(f"unit rule {x} -> {rhs[0]} is not CNF")
+            elif len(rhs) == 2:
+                if self.is_terminal(rhs[0]) or self.is_terminal(rhs[1]):
+                    raise GrammarError(f"terminal inside binary rule of {x}")
+            else:
+                raise GrammarError(f"rule of {x} has arity {len(rhs)}")
+
+
+def expand(g: Cfg, alphabet_size: int | None = None) -> Text:
+    """The unique string generated by the grammar."""
+    out: list[int] = []
+    rules = g.rules
+    stack = [iter(rules[g.start])]
+    while stack:
+        try:
+            sym = next(stack[-1])
+        except StopIteration:
+            stack.pop()
+            continue
+        if sym in rules:
+            stack.append(iter(rules[sym]))
+        else:
+            out.append(sym)
+    if alphabet_size is None:
+        alphabet_size = alphabet_for(out)
+    return Text(out, alphabet_size)
+
+
+def cfg_to_slp(g: Cfg) -> Slp:
+    """Left-to-right binarization into Chomsky normal form.
+
+    Terminals inside long right-hand sides get shared wrapper rules, so
+    the output size is at most 2 * size(g) plus one per distinct wrapped
+    terminal.
+    """
+    next_id = max(list(g.rules) + [max((s for rhs in g.rules.values() for s in rhs),
+                                       default=0)]) + 1
+    rules: dict[int, tuple[int, ...]] = {}
+    wrappers: dict[int, int] = {}
+
+    def fresh() -> int:
+        nonlocal next_id
+        next_id += 1
+        return next_id - 1
+
+    def wrapped(sym: int) -> int:
+        if not g.is_terminal(sym):
+            return sym
+        if sym not in wrappers:
+            w = fresh()
+            wrappers[sym] = w
+            rules[w] = (sym,)
+        return wrappers[sym]
+
+    for x in g.order:
+        rhs = g.rules[x]
+        if len(rhs) == 1:
+            sym = rhs[0]
+            if g.is_terminal(sym):
+                rules[x] = (sym,)
+            else:
+                rules[x] = rules[sym]  # collapse unit rule onto its target
+            continue
+        cur = x
+        for t in range(len(rhs) - 2):
+            nxt = fresh()
+            rules[cur] = (wrapped(rhs[t]), nxt)
+            cur = nxt
+        rules[cur] = (wrapped(rhs[-2]), wrapped(rhs[-1]))
+    return Slp(rules, g.start)
+
+
+class OrspResult(NamedTuple):
+    answers: list
+    operations: int
+
+
+def orsp_solve_from_slp(slp: Slp, is_delimiter: Callable[[int], bool],
+                        op: Callable, lift: Callable[[int], object]) -> OrspResult:
+    """Answer all range-sum queries encoded in an ORSP-shaped string.
+
+    The expansion must look like x_1..x_m $_1 Q_1 $_2 ... $_m Q_m $_{m+1}.
+    Bottom-up, each nonterminal gets the folded values of its longest
+    delimiter-free prefix and suffix; query i is then answered at the
+    unique rule splitting delimiters i and i+1.  Only genuine op
+    applications are counted.
+    """
+    rules = slp.rules
+    ops = 0
+
+    def combine(x, y):
+        nonlocal ops
+        if x is None:
+            return y
+        if y is None:
+            return x
+        ops += 1
+        return op(x, y)
+
+    delims: dict[int, int] = {}  # delimiter count per nonterminal
+    head: dict[int, object] = {}
+    tail: dict[int, object] = {}
+    for x in slp.order:
+        rhs = rules[x]
+        if len(rhs) == 1:
+            c = rhs[0]
+            if is_delimiter(c):
+                delims[x] = 1
+                head[x] = tail[x] = None
+            else:
+                delims[x] = 0
+                head[x] = tail[x] = lift(c)
+            continue
+        y, z = rhs
+        delims[x] = delims[y] + delims[z]
+        if delims[x] == 0:
+            head[x] = tail[x] = combine(head[y], head[z])
+            continue
+        head[x] = head[y] if delims[y] else combine(head[y], head[z])
+        tail[x] = tail[z] if delims[z] else combine(tail[y], tail[z])
+
+    total_delims = delims[slp.start]
+    if total_delims < 2:
+        raise GrammarError("not an ORSP string: fewer than two delimiters")
+    m = total_delims - 1
+    # shape checks: first delimiter right after the m-symbol prefix, and a
+    # delimiter at the very end
+    if _first_delim_position(slp, delims) != m + 1:
+        raise GrammarError("not an ORSP string: misplaced first delimiter")
+    if not _last_symbol_is_delimiter(slp, is_delimiter):
+        raise GrammarError("not an ORSP string: must end with a delimiter")
+
+    answers = []
+    for i in range(1, m + 1):
+        x = slp.start
+        offset = 0
+        while True:
+            y, z = rules[x]
+            dy = delims[y]
+            if i - offset <= dy and i + 1 - offset > dy:
+                q = combine(tail[y], head[z])
+                if q is None:
+                    raise GrammarError(f"empty range body for query {i}")
+                answers.append(q)
+                break
+            if i + 1 - offset <= dy:
+                x = y
+            else:
+                offset += dy
+                x = z
+    return OrspResult(answers, ops)
+
+
+def _first_delim_position(slp: Slp, delims: dict[int, int]) -> int:
+    pos = 0
+    x = slp.start
+    lengths = expansion_lengths(slp)
+    while True:
+        rhs = slp.rules[x]
+        if len(rhs) == 1:
+            return pos + 1
+        y, z = rhs
+        if delims[y]:
+            x = y
+        else:
+            pos += lengths[y]
+            x = z
+
+
+def _last_symbol_is_delimiter(slp: Slp, is_delimiter: Callable[[int], bool]) -> bool:
+    x = slp.start
+    while True:
+        rhs = slp.rules[x]
+        if len(rhs) == 1:
+            return is_delimiter(rhs[0])
+        x = rhs[1]
 
 
 def random_text(rng: random.Random, n: int, sigma: int) -> Text:
@@ -636,6 +868,54 @@ def greedy_factorize_reference(text: Text,
             flo = bounds[k - 1] - 1
             insert(flo, bounds[k] - 1, (k, flo + 1))
     return Factorization(factors, n, text.alphabet_size)
+
+
+def greedy_factorize_oracle(text: Text) -> Factorization:
+    """Reference greedy parser trying every factor start that can match.
+
+    Quadratic per step and index-free: match lengths come from direct symbol
+    comparison.  Only factors whose first symbol is the next one are tried,
+    from per-symbol lists in index order; any other start matches nothing,
+    so it could not beat or tie a candidate.  Used to pin down the practical
+    parser's output exactly.
+    """
+    n = len(text)
+    syms = text.symbols
+    starts: list[int] = []
+    counts: list[int] = []
+    bounds = [1]
+    by_first: dict[int, list[int]] = {}  # first symbol -> factor indices
+    p = 0
+    while p < n:
+        best_len = 0
+        best_pos = n + 2
+        best_start = best_end = 0
+        for fi in by_first.get(syms[p], ()):
+            fpos = bounds[fi - 1]
+            cap = p - fpos + 1
+            d = 0
+            base = fpos - 1
+            while d < cap and p + d < n and syms[p + d] == syms[base + d]:
+                d += 1
+            j = bisect_right(bounds, fpos + d) - 1
+            if j < fi:
+                continue
+            cand = bounds[j] - fpos
+            if cand > best_len or (cand == best_len and fpos < best_pos):
+                best_len = cand
+                best_pos = fpos
+                best_start = fi
+                best_end = j
+        if best_len == 0:  # a char factor
+            l, c, flen = 0, syms[p], 1
+        else:
+            l, c, flen = best_start, best_end - best_start + 1, best_len
+        starts.append(l)
+        counts.append(c)
+        bounds.append(bounds[-1] + flen)
+        by_first.setdefault(syms[p], []).append(len(starts))
+        p += flen
+    return Factorization.from_lists(starts, counts, n, text.alphabet_size)
 
 
 def greedy_factorize_oracle_all_starts(text: Text) -> Factorization:

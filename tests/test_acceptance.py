@@ -22,13 +22,14 @@ from lzse.dag import (compute_path_counts, heavy_paths, max_light_edges_on_path,
 from lzse.factorization import Copy, Factorization, decode, validate
 from lzse.generators import (gen_lower_bound_family, gen_orsp, gen_periodic,
                              gen_random, gen_unary)
-from lzse.grammar import cfg_to_slp, expand, grammar_to_lzse, orsp_solve_from_slp, repair_compress
-from lzse.greedy import greedy_factorize, greedy_factorize_oracle
+from lzse.grammar import grammar_to_lzse, repair_compress
+from lzse.greedy import greedy_factorize
 from lzse.ibst import Ibst
 from lzse.text import Text
 
-from helpers import (all_binary_texts, brute_path_counts,
-                     random_valid_factorization, random_text, zipf_words_pattern)
+from helpers import (all_binary_texts, brute_path_counts, cfg_to_slp, expand, factor,
+                     greedy_factorize_oracle, orsp_solve_from_slp, random_valid_factorization,
+                     random_text, subtree_spans, zipf_words_pattern)
 
 
 def report(line: str) -> None:
@@ -214,14 +215,14 @@ def test_criterion_5_ibst():
             bs.append(bs[-1] + rng.randint(1, 5))
         tree = Ibst(bs)
         trees += 1
-        spans = {v: sub for v, _, sub in tree.subtree_spans()}
+        spans = {v: sub for v, _, sub in subtree_spans(tree)}
         for v in range(tree.m):
             for ch in (tree.left[v], tree.right[v]):
                 if ch >= 0:
                     assert 2 * spans[ch] <= spans[v]
         root_span = bs[-1] - bs[0]
         ranges = [(i, min(i + 1 + (i % 7), m)) for i in range(0, m, 3)] or [(0, m)]
-        hints = tree.precompute_hints(ranges)
+        hints = [tree.hint_for(i, j) for i, j in ranges]
         for q in range(bs[0], bs[-1]):
             x, visits = tree.search_counted(q)
             assert bs[x] <= q < bs[x + 1]
@@ -229,7 +230,7 @@ def test_criterion_5_ibst():
         for hint in hints:
             for q in range(bs[hint.i], bs[hint.j]):
                 x, visits = tree.search_with_hint_counted(hint, q)
-                assert tree.search(q) == x
+                assert tree.search_counted(q)[0] == x
                 ratio = (bs[hint.j] - bs[hint.i]) / (bs[x + 1] - bs[x])
                 assert visits <= math.log2(ratio) + 3
     elapsed = time.time() - t0
@@ -252,7 +253,7 @@ def test_criterion_6_symcpd():
             if isinstance(f, Copy):
                 incoming.update(range(f.start, f.start + f.count))
         sources = [i for i in range(1, fact.z + 1) if i not in incoming]
-        sinks = [i for i in range(1, fact.z + 1) if not isinstance(fact.factor(i), Copy)]
+        sinks = [i for i in range(1, fact.z + 1) if not isinstance(factor(fact, i), Copy)]
         assert sum(s[i - 1] for i in sources) == nd
         assert sum(e[i - 1] for i in sinks) == nd
         heavy = select_heavy_edges(fact, s, e)

@@ -10,7 +10,7 @@ from lzse.grammar import grammar_to_lzse, repair_compress
 from lzse.greedy import greedy_factorize
 from lzse.text import Text
 
-from helpers import (access_naive, block_repetitive, deep_chain, random_text,
+from helpers import (access_naive, block_repetitive, deep_chain, factor, random_text,
                      random_valid_factorization, record_index_builds)
 
 ABAB = Factorization([Char(97), Char(98), Copy(1, 2), Copy(3, 1)])
@@ -111,7 +111,7 @@ def test_right_exit_interval():
     assert skip.ibst.boundaries == [0, 5, 7]
     # q = 5 (s = 1, r = 6) lands right of F6 in F8's source: exit at F8,
     # offset 6, jumping into the range of F7 alone
-    idx = skip.ibst.search(5)
+    idx = skip.ibst.search_counted(5)[0]
     assert skip.exits[idx][:2] == (8, -1)
     hint = skip.exits[idx][2]
     assert (hint.i, hint.j) == (6, 7)
@@ -127,7 +127,7 @@ def test_left_exit_interval():
     assert skip.ibst.boundaries == [0, 2, 7]
     # q = 0 (s = 1, r = 1) lands left of F7 in F8's source: exit at F8,
     # offset 1, jumping into the range of F6 alone
-    idx = skip.ibst.search(0)
+    idx = skip.ibst.search_counted(0)[0]
     assert skip.exits[idx][:2] == (8, -1)
     hint = skip.exits[idx][2]
     assert (hint.i, hint.j) == (5, 6)
@@ -197,12 +197,12 @@ def test_exit_table_matches_jump_chain():
                         break
                     j, off = j + 1, pos - fact.pos_l(child) + 1
                 q = skip.L[s - 1] + r - 1
-                f, base, hint = skip.exits[skip.ibst.search(q)]
+                f, base, hint = skip.exits[skip.ibst.search_counted(q)[0]]
                 assert (f, q - base) == (path[j], off)
-                if not isinstance(fact.factor(f), Copy):
+                if not isinstance(factor(fact, f), Copy):
                     assert hint is None
                     continue
-                src = fact.factor(f)
+                src = factor(fact, f)
                 lo, hi = src.start, src.start + src.count - 1
                 if j < len(path) - 1:  # left or right of the next path node
                     child = path[j + 1]

@@ -234,6 +234,18 @@ def test_gen_families(tmp_path):
     assert (tmp_path / "p").read_bytes() == b"ababababab"
 
 
+def test_gen_random_sigma_above_token_alphabet_exits_2(tmp_path, capsys):
+    ok = tmp_path / "ok"
+    assert main(["gen", "random", "-n", "64", "--sigma", str(1 << 32), "-o", str(ok)]) == 0
+    capsys.readouterr()
+    over = tmp_path / "over"
+    assert main(["gen", "random", "-n", "64", "--sigma", str(1 << 33), "-o", str(over)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma 8589934592 is above")
+    assert "Traceback" not in err
+    assert not over.exists()
+
+
 def test_usage_and_data_errors(tmp_path, capsys):
     assert main(["bogus"]) == 1
     assert main(["compress", str(tmp_path / "missing.txt")]) == 2

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from lzse import grammar
 from lzse.factorization import decode, validate
-from lzse.grammar import (Cfg, GrammarError, Slp, cfg_to_slp, expand,
-                          grammar_to_lzse, orsp_solve_from_slp, repair_compress)
+from lzse.grammar import Cfg, GrammarError, grammar_to_lzse, repair_compress
 from lzse.generators import gen_orsp, gen_periodic
 from lzse.text import Text
 
-from helpers import (orsp_instance, random_text, repair_compress_reference,
-                     zipf_words_pattern)
+from helpers import (Slp, cfg_to_slp, expand, orsp_instance, orsp_solve_from_slp,
+                     random_text, repair_compress_reference, zipf_words_pattern)
 
 A, B, S, X, Y = 300, 301, 302, 303, 304
 

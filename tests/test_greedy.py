@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from lzse.factorization import Char, Copy, Factorization, decode, validate
 from lzse.generators import gen_lower_bound_family, gen_periodic, gen_random, gen_unary
-from lzse.greedy import greedy_factorize, greedy_factorize_oracle
+from lzse.greedy import greedy_factorize
 from lzse.suffixindex import build_suffix_index
 from lzse.text import Text
 
 from helpers import (all_binary_texts, block_repetitive, compute_extended_factors,
-                     extended_factor_strings, factor_string,
-                     greedy_factorize_oracle_all_starts, greedy_factorize_reference,
-                     random_text, zipf_words_pattern)
+                     extended_factor_strings, factor, factor_string,
+                     greedy_factorize_oracle, greedy_factorize_oracle_all_starts,
+                     greedy_factorize_reference, random_text, zipf_words_pattern)
 
 
 def both(text: Text):
@@ -111,7 +111,7 @@ def test_leftmost_source_starts_with_extended_factor():
         f = greedy_factorize_oracle(t)
         factors = f.factors
         for k in range(1, f.z + 1):
-            fk = f.factor(k)
+            fk = factor(f, k)
             if not isinstance(fk, Copy):
                 continue
             prefix = Factorization(factors[:k - 1])
@@ -131,7 +131,7 @@ def test_copy_sources_are_leftmost():
         t = random_text(rng, rng.randint(2, 120), 2)
         f = both(t)
         for k in range(1, f.z + 1):
-            fk = f.factor(k)
+            fk = factor(f, k)
             if not isinstance(fk, Copy):
                 continue
             target = factor_string(f, t, k)

@@ -5,7 +5,7 @@ import pytest
 
 from lzse.ibst import Ibst
 
-from helpers import hint_for_reference
+from helpers import hint_for_reference, subtree_spans
 
 
 def interval(t: Ibst, i: int) -> tuple[int, int]:
@@ -25,7 +25,7 @@ def test_construction_example():
 def test_construction_single_interval():
     t = Ibst([0, 7])
     assert t.m == 1 and t.root == 0
-    assert t.search(0) == 0 and t.search(6) == 0
+    assert t.search_counted(0)[0] == 0 and t.search_counted(6)[0] == 0
 
 
 def test_construction_second_example():
@@ -49,12 +49,12 @@ def test_search_examples():
     t = Ibst([1, 2, 3, 5, 8, 12])
     idx, visits = t.search_counted(10)
     assert idx == 4 and visits == 2
-    assert t.search(1) == 0
-    assert t.search(11) == 4
+    assert t.search_counted(1)[0] == 0
+    assert t.search_counted(11)[0] == 4
     with pytest.raises(ValueError):
-        t.search(0)
+        t.search_counted(0)[0]
     with pytest.raises(ValueError):
-        t.search(12)
+        t.search_counted(12)[0]
 
 
 def test_hint_examples():
@@ -104,14 +104,14 @@ def test_random_equivalence_halving_and_bounds():
     for _ in range(250):
         t = random_tree(rng, 128)
         bs = t.boundaries
-        spans = {v: sub for v, _, sub in t.subtree_spans()}
+        spans = {v: sub for v, _, sub in subtree_spans(t)}
         for v in range(t.m):
             for ch in (t.left[v], t.right[v]):
                 if ch >= 0:
                     assert 2 * spans[ch] <= spans[v]
         root_span = bs[-1] - bs[0]
         ranges = [(i, min(i + 1 + (i % 6), t.m)) for i in range(t.m)]
-        hints = t.precompute_hints(ranges)
+        hints = [t.hint_for(i, j) for i, j in ranges]
         for q in range(bs[0], bs[-1]):
             x, visits = t.search_counted(q)
             assert bs[x] <= q < bs[x + 1]
