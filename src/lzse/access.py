@@ -16,10 +16,9 @@ index computes one immutable ``Hint`` per distinct range and every copy
 factor and path exit landing there shares it.  ``footprint()`` still counts
 one hint per copy factor, as the space analysis does.
 
-A one-shot query needs none of this.  The CLI's ``access`` follows the
-jump function over ``bounds``, one bisection of the copy's own source
-factors per jump.  Both ``extract``s run ``factorization._expand``, the
-expansion that ``decode`` runs too.  One-shot reads give up after
+A one-shot query needs none of this.  The CLI's ``access`` and both
+``extract``s run ``factorization._expand``, the expansion that ``decode``
+runs too: ``access`` over one position.  One-shot reads give up after
 ``jump_budget(n)`` jumps along one chain, 4 * ceil(lg(n + 1)), build the
 index once and finish from where the chain stopped; a jump keeps the
 symbol, so the answer is the same.  The cost of a one-shot query is then
@@ -29,7 +28,7 @@ hostile chain of one-factor copies costs what it cost with the index alone.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable
 
 from .dag import compute_path_counts, heavy_paths, select_heavy_edges
@@ -212,24 +211,12 @@ def build_access_index(fact: Factorization) -> AccessIndex:
 
 
 def access(fact: Factorization, p: int) -> int:
-    """Symbol at 1-based position p, by jumping without a prebuilt index.
-
-    After ``jump_budget(n)`` jumps the index is built and answers for the
-    position the chain reached, which holds the same symbol.
-    """
-    n = fact.n
-    if not 1 <= p <= n:
-        raise ValueError(f"position {p} out of range 1..{n}")
-    bounds, start, count = fact.bounds, fact.start, fact.count
-    f = bisect_right(bounds, p)
-    jumps = jump_budget(n)
-    while l := start[f - 1]:
-        if not jumps:
-            return build_access_index(fact).access(p)
-        jumps -= 1
-        p += bounds[l - 1] - bounds[f - 1]
-        f = bisect_right(bounds, p, l, l + count[f - 1] - 1)
-    return count[f - 1]
+    """Symbol at 1-based position p without a prebuilt index: the expansion
+    of the one position, which builds the index only for a chain deeper
+    than ``jump_budget(n)``."""
+    if not 1 <= p <= fact.n:
+        raise ValueError(f"position {p} out of range 1..{fact.n}")
+    return _expand(fact, p, p)[0]
 
 
 def extract(fact: Factorization, lo: int, hi: int) -> Text:

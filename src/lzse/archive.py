@@ -76,31 +76,26 @@ def serialize(fact: Factorization) -> bytes:
     out.append(mode)
     write_varint(out, fact.n)
     write_varint(out, fact.z)
-    # a value below 128 is a one-byte varint, appended inline; write_varint
-    # takes the rest and raises for negative values
+    # the Factorization checked every field: counts and back-distances are
+    # positive, symbols fit the mode.  A value below 128 is a one-byte
+    # varint, appended inline; write_varint takes the rest
     append = out.append
     for i, (l, k) in enumerate(zip(fact.start, fact.count), start=1):
         if l:
-            if 0 <= k < 0x80:
+            if k < 0x80:
                 append(k)
             else:
                 write_varint(out, k)
             d = i - l
-            if 0 <= d < 0x80:
+            if d < 0x80:
                 append(d)
             else:
                 write_varint(out, d)
         else:
             append(0)
-            if mode == MODE_BYTE:
-                if not 0 <= k < 256:
-                    raise ArchiveError(f"factor {i}: symbol {k} not a byte")
-                append(k)
-            elif 0 <= k < 0x80:
+            if mode == MODE_BYTE or k < 0x80:
                 append(k)
             else:
-                if k >= TOKEN_ALPHABET:
-                    raise ArchiveError(f"factor {i}: symbol {k} exceeds 32 bits")
                 write_varint(out, k)
     return bytes(out)
 

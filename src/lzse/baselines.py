@@ -320,7 +320,7 @@ def size_report(methods, text: Text) -> dict:
     this process builds the suffix index and computes lz77 and lzss; work
     on one side only runs inline.
     On three 256 KiB zipf-words texts the report of all five methods then
-    takes 0.61-0.67 s, median of 5 fresh processes each on a 2-CPU VM, and
+    takes 0.41-0.59 s, medians of 5 fresh processes each on a 2-CPU VM, and
     the two processes finish within about 0.1 s of each other.  This
     process's own peak RSS is about 35 MiB there and 51 MiB on the 1 MiB
     criterion-9 text; the child's, 36 and 61 MiB.  The fork comes before the suffix index imports numpy, so the

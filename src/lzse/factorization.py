@@ -9,7 +9,8 @@ extended factors, which the paper uses to bound access and to prove the
 greedy trie correct, live with the test oracles in ``tests/helpers.py``.
 
 One routine, ``_expand``, turns factors into symbols: ``decode`` runs it
-over 1..n, and both ``extract``s of ``lzse.access`` over their ranges.
+over 1..n, both ``extract``s of ``lzse.access`` over their ranges, and the
+one-shot ``access`` over one position.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class Factorization:
 
     def _set(self, start, count, n, alphabet_size) -> None:
         """The one structure check: copy fields are positive, copies reference
-        only earlier factors, symbols are non-negative, lengths sum to n."""
+        only earlier factors, symbols lie in the alphabet and fit 32 bits,
+        lengths sum to n."""
+        top = min(alphabet_size, TOKEN_ALPHABET)
         bounds = [1]
         pos = 1
         i = 0
@@ -85,6 +88,8 @@ class Factorization:
                 raise FactorizationError(f"factor {i}: non-positive copy fields")
             elif k < 0:
                 raise FactorizationError(f"factor {i}: negative symbol")
+            elif k >= top:
+                raise FactorizationError(f"factor {i}: symbol {k} outside alphabet 0..{top - 1}")
             else:
                 pos += 1
             bounds.append(pos)
@@ -159,14 +164,16 @@ def decode(fact: Factorization) -> Text:
 
 def _expand(fact: Factorization, lo: int, hi: int, ix=None) -> Text:
     """T[lo..hi] (1-based, inclusive), expanded left to right over a stack of
-    text ranges: the one expansion of ``decode`` and both ``extract``s.
+    text ranges: the one expansion of ``decode``, both ``extract``s and the
+    one-shot ``access``.
 
     ``out`` holds T[lo..lo + len(out) - 1] at every step.  A char factor
     appends its symbol.  A copy's piece whose source starts at lo or later
     is copied from ``out`` in slices of at most ``_PIECE`` symbols, so a long
     source is never held twice; any other piece expands its source one level
     down, unless that would pass ``jump_budget(n)`` levels: then its symbols
-    come from the access index ``ix``, built on first need when None.
+    come from the access index ``ix``, built on first need when None.  The
+    symbols were checked when ``fact`` was made: the Text adopts the buffer.
     """
     n = fact.n
     if not 1 <= lo <= hi <= n:
@@ -176,53 +183,50 @@ def _expand(fact: Factorization, lo: int, hi: int, ix=None) -> Text:
     budget = jump_budget(n)
     # (first position, last position, factor holding the first, depth)
     stack = [(lo, hi, bisect_right(bounds, lo), 0)]
-    try:
-        while stack:
-            a, b, f, depth = stack.pop()
-            while a <= b:
-                l = start[f - 1]
-                e = bounds[f]  # one past the piece, which ends at b or with f
-                if not l:
-                    out.append(count[f - 1])
-                    a = e
-                    f += 1
-                    continue
-                if e > b:
-                    e = b + 1
-                s = bounds[l - 1] + a - bounds[f - 1]  # source of the piece
-                t = s + e - a
-                # a piece never lies past the position it fills, and its
-                # source ends before the piece's factor starts, so a source
-                # from lo on lies wholly in out
-                if s >= lo:
-                    while t - s > _PIECE:
-                        out += out[s - lo:s - lo + _PIECE]
-                        s += _PIECE
-                    out += out[s - lo:t - lo]
-                elif depth < budget:
-                    if e <= b:
-                        stack.append((e, b, f + 1, depth))
-                    stack.append((s, t - 1, bisect_right(bounds, s, l, l + count[f - 1] - 1),
-                                  depth + 1))
-                    break
-                else:
-                    if ix is None:
-                        from .access import build_access_index
-                        ix = build_access_index(fact)
-                    out.extend(ix.access(q) for q in range(a, e))
+    while stack:
+        a, b, f, depth = stack.pop()
+        while a <= b:
+            l = start[f - 1]
+            e = bounds[f]  # one past the piece, which ends at b or with f
+            if not l:
+                out.append(count[f - 1])
                 a = e
                 f += 1
-    except OverflowError as ex:
-        raise ValueError(f"char symbol out of range for alphabet {fact.alphabet_size}") from ex
-    if fact.alphabet_size == TOKEN_ALPHABET:
-        return Text._adopt(out, TOKEN_ALPHABET)
-    return Text(out, fact.alphabet_size)
+                continue
+            if e > b:
+                e = b + 1
+            s = bounds[l - 1] + a - bounds[f - 1]  # source of the piece
+            t = s + e - a
+            # a piece never lies past the position it fills, and its
+            # source ends before the piece's factor starts, so a source
+            # from lo on lies wholly in out
+            if s >= lo:
+                while t - s > _PIECE:
+                    out += out[s - lo:s - lo + _PIECE]
+                    s += _PIECE
+                out += out[s - lo:t - lo]
+            elif depth < budget:
+                if e <= b:
+                    stack.append((e, b, f + 1, depth))
+                stack.append((s, t - 1, bisect_right(bounds, s, l, l + count[f - 1] - 1),
+                              depth + 1))
+                break
+            else:
+                if ix is None:
+                    from .access import build_access_index
+                    ix = build_access_index(fact)
+                out.extend(ix.access(q) for q in range(a, e))
+            a = e
+            f += 1
+    return Text._adopt(bytes(out) if fact.alphabet_size <= BYTE_ALPHABET else out,
+                       fact.alphabet_size)
 
 
 def validate(fact: Factorization, text: Text | None = None) -> str | None:
-    """Compare a factorization with its text; None when they agree, else the
-    first mismatch.  Without a text there is nothing left to check: the
-    structure was checked when ``fact`` was made.
+    """Compare each char with its symbol in ``text`` and each copy with its
+    source there; None when all agree, which by induction over the factors
+    means decode(fact) == text, else the first mismatch.  Without a text
+    there is nothing left to check: ``fact`` was checked when made.
     """
     if text is None:
         return None

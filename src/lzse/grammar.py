@@ -93,7 +93,7 @@ def grammar_to_lzse(g: Cfg, alphabet_size: int | None = None) -> Factorization:
 
     # iterative DFS; frames close in leftmost-first order so every recorded
     # range is complete before any later occurrence references it
-    stack: list[tuple[int, int] | tuple[str, int, int]] = [("visit", g.start, 0)]
+    stack: list[tuple[str, int, int]] = [("visit", g.start, 0)]
     while stack:
         frame = stack.pop()
         if frame[0] == "close":
@@ -123,10 +123,11 @@ def grammar_to_lzse(g: Cfg, alphabet_size: int | None = None) -> Factorization:
 # Re-Pair's opening rounds run as whole-sequence numpy passes only where
 # they pay, decided before numpy is imported: numpy's import (about 0.09 s)
 # needs a long text, each pass counts every pair of labels in one array of
-# labels² 8-byte entries, so k² may exceed neither n nor a fixed cap, and a
-# pass pays only while its pair is frequent.
+# labels² 8-byte entries, so labels² (k at the first pass, one more label
+# each pass) may exceed neither n nor a fixed cap, and a pass pays only
+# while its pair is frequent.
 _PASS_MIN_N = 1 << 16   # shorter texts run no pass
-_PASS_MAX_K2 = 1 << 22  # most k * k for the k distinct symbols
+_PASS_MAX_K2 = 1 << 22  # most labels * labels a pass counts
 _PASS_SAMPLE = 1 << 16  # leading symbols whose adjacent pairs decide
 _PASS_SHARE = 1 / 100   # passes run while the top pair holds this share
 
@@ -193,8 +194,9 @@ def _passes_pay(symbols, k: int) -> bool:
 def _repair_passes(symbols, terminals: list[int],
                    label_rules: list[tuple[int, int]]) -> list[int]:
     """Re-Pair rounds as whole-sequence numpy passes, while the top pair
-    holds at least ``_PASS_SHARE`` of the sequence.  Appends each round's
-    pair to ``label_rules`` and returns the sequence left, in dense labels.
+    holds at least ``_PASS_SHARE`` of the sequence and labels² stays within
+    min(n, ``_PASS_MAX_K2``).  Appends each round's pair to ``label_rules``
+    and returns the sequence left, in dense labels.
 
     A pass keys the pair at i as ``seq[i] * labels + seq[i + 1]`` and
     bincounts the keys; in a run of equal symbols only every other
@@ -206,9 +208,8 @@ def _repair_passes(symbols, terminals: list[int],
     raw = np.asarray(memoryview(symbols))
     seq = np.searchsorted(np.asarray(terminals, dtype=raw.dtype), raw).astype(np.int32)
     labels = len(terminals)
-    while len(seq) >= 2:
-        if labels * labels >= 1 << 31 and seq.itemsize == 4:
-            seq = seq.astype(np.int64)
+    most = min(len(symbols), _PASS_MAX_K2)  # below 2**31: int32 keys suffice
+    while len(seq) >= 2 and labels * labels <= most:
         left = seq[:-1]
         keys = left * labels
         keys += seq[1:]

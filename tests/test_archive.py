@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lzse.access import build_access_index
 from lzse.archive import (ArchiveError, deserialize, read_token_text,
                           read_varint, serialize, write_token_text, write_varint)
-from lzse.factorization import Char, Copy, Factorization, decode
+from lzse.factorization import Char, Copy, Factorization, FactorizationError, decode
 from lzse.greedy import greedy_factorize
 from lzse.text import TOKEN_ALPHABET, Text
 
@@ -78,10 +78,49 @@ def test_token_symbol_above_32_bits_rejected():
         deserialize(blob)
     top = Factorization([Char((1 << 32) - 1), Copy(1, 1)], alphabet_size=1 << 32)
     assert deserialize(serialize(top)).factors == top.factors
-    # serialize writes only what deserialize reads
-    over = Factorization([Char(1 << 33), Copy(1, 1)], alphabet_size=1 << 32)
-    with pytest.raises(ArchiveError, match="exceeds 32 bits"):
-        serialize(over)
+    # serialize writes only what deserialize reads: a wider char is
+    # rejected when the factorization is made, in any alphabet
+    for alphabet in (1 << 32, 1 << 40):
+        with pytest.raises(FactorizationError,
+                           match="factor 1: symbol 8589934592 outside alphabet 0..4294967295"):
+            Factorization([Char(1 << 33), Copy(1, 1)], alphabet_size=alphabet)
+
+
+@pytest.mark.parametrize("alphabet", [5, 256, 300, TOKEN_ALPHABET])
+def test_every_factorization_that_is_made_serializes_and_decodes(alphabet):
+    # the constructor is the one symbol check: whatever it accepts,
+    # serialize writes, deserialize reads and decode expands, and a char
+    # outside the alphabet fails there
+    rng = random.Random(alphabet)
+    made = refused = 0
+    for _ in range(300):
+        factors: list[Char | Copy] = []
+        for i in range(rng.randint(1, 40)):
+            if i and rng.random() < 0.5:
+                l = rng.randint(1, i)
+                factors.append(Copy(l, rng.randint(1, min(3, i - l + 1))))
+            elif rng.random() < 0.02:
+                factors.append(Char(rng.choice([alphabet, alphabet + rng.randrange(1 << 34),
+                                                 1 << 32, 1 << 33])))
+            else:
+                factors.append(Char(rng.choice([0, alphabet - 1, rng.randrange(alphabet)])))
+        outside = [(i, f.symbol) for i, f in enumerate(factors, start=1)
+                   if isinstance(f, Char) and f.symbol >= alphabet]
+        if outside:
+            i, symbol = outside[0]
+            with pytest.raises(FactorizationError,
+                               match=f"factor {i}: symbol {symbol} outside alphabet "
+                                     f"0..{alphabet - 1}$"):
+                Factorization(factors, alphabet_size=alphabet)
+            refused += 1
+            continue
+        fact = Factorization(factors, alphabet_size=alphabet)
+        restored = deserialize(serialize(fact))
+        assert restored.factors == fact.factors
+        assert (list(decode(restored)) == list(decode(fact))
+                == [access_naive(fact, p) for p in range(1, fact.n + 1)])
+        made += 1
+    assert made >= 100 and refused >= 10
 
 
 def test_random_roundtrips():

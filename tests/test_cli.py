@@ -118,6 +118,29 @@ def test_verify(sample, tmp_path, capsys):
     assert main(["verify", str(arc), "--original", str(other)]) == 2
 
 
+def test_verify_original_differs_inside_a_copy_factor(sample, tmp_path, capsys, monkeypatch):
+    # validate alone decides: it compares each copy's text with its
+    # source's, so an original that differs only inside a copy factor
+    # fails there, and nothing is decoded
+    def no_decode(fact):
+        raise AssertionError("verify decoded the archive")
+
+    monkeypatch.setattr(cli, "decode", no_decode)
+    arc = tmp_path / "out.lzse"
+    main(["compress", str(sample), "-o", str(arc)])
+    fact = archive.deserialize(arc.read_bytes())
+    i = fact.z
+    assert fact.start[i - 1] and fact.length(i) > 1  # a copy factor
+    data = bytearray(sample.read_bytes())
+    data[fact.pos_r(i) - 1] ^= 1
+    other = tmp_path / "other.txt"
+    other.write_bytes(data)
+    capsys.readouterr()
+    assert main(["verify", str(arc), "--original", str(sample)]) == 0
+    assert main(["verify", str(arc), "--original", str(other)]) == 2
+    assert capsys.readouterr().err == f"FAIL: factor {i}: source mismatch\n"
+
+
 def test_repair_se_method(sample, tmp_path):
     arc = tmp_path / "r.lzse"
     out = tmp_path / "r.txt"

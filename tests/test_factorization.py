@@ -163,14 +163,14 @@ def test_decode_rejects_out_of_range_char_with_value_error():
 
 def test_token_decode_hands_its_buffer_over(monkeypatch):
     # decode and extract fill a fresh array('I') in token mode and hand it
-    # to the Text uncopied; a narrower alphabet still goes through Text(),
-    # whose range check rejects a char above it
+    # to the Text uncopied, in a narrower alphabet too; a char above that
+    # alphabet is rejected when the factorization is made
     tokens = [7, 1 << 31, 300, (1 << 32) - 1]
     fact = Factorization([Char(s) for s in tokens] + [Copy(1, 4), Copy(2, 3)],
                          alphabet_size=TOKEN_ALPHABET)
     index = build_access_index(fact)
     whole = tokens + tokens + tokens[1:]
-    narrow = Factorization([Char(7), Char(400)], alphabet_size=300)
+    narrow = Factorization([Char(7), Char(299), Copy(1, 2)], alphabet_size=300)
     made = []
     init = Text.__init__
 
@@ -180,14 +180,15 @@ def test_token_decode_hands_its_buffer_over(monkeypatch):
 
     monkeypatch.setattr(Text, "__init__", counted_init)
     texts = [decode(fact), extract(fact, 1, fact.n), extract(fact, 3, 9), index.extract(2, 11)]
+    narrow_texts = [decode(narrow), extract(narrow, 2, 4)]
     assert made == []
-    assert all(type(t.symbols) is array for t in texts)
+    assert all(type(t.symbols) is array for t in texts + narrow_texts)
     assert [list(t) for t in texts] == [whole, whole, whole[2:9], whole[1:11]]
-    with pytest.raises(ValueError):
-        decode(narrow)
-    with pytest.raises(ValueError):
-        extract(narrow, 1, 2)
-    assert len(made) == 2
+    assert [list(t) for t in narrow_texts] == [[7, 299, 7, 299], [299, 7, 299]]
+    assert all(t.alphabet_size == 300 for t in narrow_texts)
+    with pytest.raises(FactorizationError, match="factor 2: symbol 400 outside alphabet 0..299"):
+        Factorization([Char(7), Char(400)], alphabet_size=300)
+    assert made == []
 
 
 def test_rel_and_factor_at():

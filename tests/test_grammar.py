@@ -286,6 +286,30 @@ def test_repair_passes_hand_off_to_incremental_rounds(share, monkeypatch):
     assert rounds == []
 
 
+def test_repair_passes_keep_their_pair_count_bound(monkeypatch):
+    # each pass adds a label, and its pair counts span labels²: the passes
+    # stop before that passes min(n, _PASS_MAX_K2), not only k².  Zipf
+    # words hold k = 27 symbols; with the cap at 31², passes run from 27
+    # to 31 labels, and the incremental rounds finish the same grammar.
+    import numpy as np
+    t = gen_periodic(zipf_words_pattern(random.Random(5), 1 << 14), 4)
+    k = len(set(t.symbols))
+    cap = (k + 4) ** 2
+    monkeypatch.setattr(grammar, "_PASS_MIN_N", 2)
+    monkeypatch.setattr(grammar, "_PASS_MAX_K2", cap)
+    sizes = []
+    bincount = np.bincount
+
+    def counted_bincount(*args, **kwargs):
+        counts = bincount(*args, **kwargs)
+        sizes.append(len(counts))
+        return counts
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    assert_repair_matches_reference(t)
+    assert sizes and max(sizes) <= cap
+
+
 def test_repair_peak_memory_per_symbol():
     # 2^18 symbols of periodic zipf words.  The numpy passes hold the
     # sequence as int32 (4 B), its pair keys (4 B), masks (1 B each) and
