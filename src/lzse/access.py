@@ -32,7 +32,7 @@ from bisect import bisect_left
 from typing import Callable
 
 from .dag import compute_path_counts, heavy_paths, select_heavy_edges
-from .factorization import JUMP_FACTOR, Factorization, _expand, jump_budget  # noqa: F401
+from .factorization import Factorization, _expand
 from .ibst import Hint, Ibst
 from .text import Text
 

@@ -256,19 +256,21 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
 
     Counting is incremental, after Larsson and Moffat ("Off-line
     dictionary-based compression", Proc. IEEE 2000).  The sequence is a
-    doubly linked list over its positions; each pair keeps a doubly linked
-    list of its occurrences in position order and its count, and a
-    replacement updates only the pairs next to the occurrence it replaces.
-    A heap keyed by (-count, first occurrence) picks each rule, re-keying
-    stale entries when they surface.  O(n log n) overall.
+    doubly linked list over its positions; each pair keeps its count and a
+    list of its occurrences in position order, and a replacement updates
+    only the pairs next to the occurrence it replaces.  A heap keyed by
+    (-count, first occurrence) picks each rule, re-keying stale entries
+    when they surface.  O(n log n) overall.
 
-    Each pair has a dense id that indexes its list's head and tail and its
-    count, and ``occ[i]`` is the id of the occurrence starting at position
-    i.  So the pairs a replacement takes an occurrence from, left and right
-    of it, are read off ``occ`` without a lookup.  Every pair it makes holds
-    the new label x; two maps that live for one round find them: c -> the
-    id of (c, x), with (x, x) under x, and d -> the id of (x, d).  The ids
-    of pairs left without occurrences are reused from the next round on.
+    Each pair has a dense id that indexes its list and its count, and
+    ``occ[i]`` is the id of the occurrence starting at position i, so the
+    pairs a replacement takes an occurrence from are read off ``occ``.
+    Nothing is unlinked: i is dead in every list but that of ``occ[i]``,
+    and a skip index per pair passes each dead entry once.  Every pair a
+    replacement makes holds the new label x; two maps that live for one
+    round find them: c -> the id of (c, x), with (x, x) under x, and d ->
+    the id of (x, d).  The ids of pairs left without occurrences are
+    reused from the next round on.
     """
     n = len(sym)
     labels = k + len(label_rules)  # keys the first scan's pairs
@@ -278,15 +280,13 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
     nxt = pos[2:]
     nxt[-1] = -1
     prv = pos[:n]
-    # The occurrence at i is the pair (sym[i], sym[nxt[i]]).  Old pairs only
-    # lose occurrences and new pairs gain them left to right, so every list
-    # stays in position order and its head is the first occurrence.  An
-    # empty list has head and tail -1.
-    occ = [0] * n
-    onx = [-1] * n
-    opv = [-1] * n
-    head: list[int] = []
-    tail: list[int] = []
+    # The occurrence at i is the pair (sym[i], sym[nxt[i]]); a position
+    # merged away holds -1.  Old pairs only lose occurrences and new pairs
+    # gain them left to right, each once, so every list stays in position
+    # order and an entry is live while ``occ`` names its pair.
+    occ = [-1] * n
+    where: list[list[int] | None] = []
+    skip: list[int] = []
     count: list[int] = []
     # A run of L >= 2 equal symbols keeps L and the position of its other
     # end at both ends, so the run's count L//2 follows a change at either
@@ -298,15 +298,12 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
     for i, a, b in zip(pos[1:n], sym, islice(sym, 1, None)):
         p = ids.get(a * labels + b)
         if p is None:
-            p = ids[a * labels + b] = len(head)
-            head.append(i)
-            tail.append(i)
+            p = ids[a * labels + b] = len(where)
+            where.append([i])
+            skip.append(0)
             count.append(0)
         else:
-            t = tail[p]
-            onx[t] = i
-            opv[i] = t
-            tail[p] = i
+            where[p].append(i)
         occ[i] = p
         if a != b:
             count[p] += 1
@@ -330,47 +327,55 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
         # a pair made by this round, with its first occurrence at i
         if free:
             p = free.pop()
-            head[p] = tail[p] = i
-            count[p] = freq
         else:
-            p = len(head)
-            head.append(i)
-            tail.append(i)
-            count.append(freq)
+            p = len(where)
+            where.append(None)
+            skip.append(0)
+            count.append(0)
+        where[p] = [i]
+        skip[p] = 0
+        count[p] = freq
         occ[i] = p
-        opv[i] = onx[i] = -1
         return p
 
-    # An old pair's count only falls and its head only moves right, so its
-    # heap entry never sorts after its true key; new pairs are pushed once,
-    # when their round ends.  Live pairs never share a head, so the id in
-    # an entry decides no order; an entry whose id has since been reused
-    # is re-keyed like any other stale one.
-    heap = [(-freq, head[p], p) for p, freq in enumerate(count) if freq >= 2]
+    def first(p: int) -> int:
+        # the first live occurrence of p, which has one
+        entries = where[p]
+        s = skip[p]
+        while occ[entries[s]] != p:
+            s += 1
+        skip[p] = s
+        return entries[s]
+
+    # An old pair's count only falls and its first occurrence only moves
+    # right, so its heap entry never sorts after its true key; new pairs are
+    # pushed once, when their round ends.  Live pairs never share a first
+    # occurrence, so the id in an entry decides no order; an entry whose id
+    # has since been reused is re-keyed like any other stale one.
+    heap = [(-freq, where[p][0], p) for p, freq in enumerate(count) if freq >= 2]
     heapify(heap)
     while heap:
-        neg, first, pair = heappop(heap)
+        neg, at, pair = heappop(heap)
         freq = count[pair]
         if freq < 2:
             continue
-        if freq != -neg or head[pair] != first:
-            heappush(heap, (-freq, head[pair], pair))
+        start = first(pair)
+        if freq != -neg or start != at:
+            heappush(heap, (-freq, start, pair))
             continue
-        a = sym[first]
-        b = sym[nxt[first]]
+        a = sym[start]
+        b = sym[nxt[start]]
         x = k + len(label_rules)
         label_rules.append((a, b))
         left_of: dict[int, int] = {}   # c -> id of (c, x)
         right_of: dict[int, int] = {}  # d -> id of (x, d)
         emptied = [pair]
-        i = first
-        while i >= 0:
+        for i in islice(where[pair], skip[pair], None):
+            if occ[i] != pair:  # dead: an earlier replacement took it
+                continue
             j = nxt[i]
             h = prv[i]
             r = nxt[j]
-            following = onx[i]
-            if following == j:  # a == b: skip the occurrence overlapping i's
-                following = onx[j]
             if h >= 0:
                 c = sym[h]
                 p = occ[h]  # (c, a) loses its occurrence at h
@@ -385,19 +390,8 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
                         run_len[s] = run_len[h] = length - 1
                         run_end[s] = h
                         run_end[h] = s
-                u = opv[h]
-                v = onx[h]
-                if u >= 0:
-                    onx[u] = v
-                elif v >= 0:
-                    head[p] = v
-                else:
-                    head[p] = -1
+                if not count[p] and c != x:  # pairs this round made: below
                     emptied.append(p)
-                if v >= 0:
-                    opv[v] = u
-                else:
-                    tail[p] = u
             if r >= 0:
                 d = sym[r]
                 if d != b or a != b:  # (b, d) loses its occurrence at j
@@ -413,19 +407,9 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
                             run_len[s] = run_len[r] = length - 1
                             run_end[s] = r
                             run_end[r] = s
-                    u = opv[j]
-                    v = onx[j]
-                    if u >= 0:
-                        onx[u] = v
-                    elif v >= 0:
-                        head[p] = v
-                    else:
-                        head[p] = -1
+                    if not count[p]:
                         emptied.append(p)
-                    if v >= 0:
-                        opv[v] = u
-                    else:
-                        tail[p] = u
+            occ[j] = -1
             sym[i] = x
             nxt[i] = r
             if h >= 0:
@@ -447,13 +431,7 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
                 if p is None:
                     left_of[c] = new_pair(h, freq)
                 else:
-                    # (c, x) keeps its occurrences to the end of the round,
-                    # as every later replacement lies right of i
-                    t = tail[p]
-                    onx[t] = h
-                    opv[h] = t
-                    onx[h] = -1
-                    tail[p] = h
+                    where[p].append(h)
                     occ[h] = p
                     count[p] += freq
             if r >= 0:
@@ -462,31 +440,20 @@ def _repair_rounds(sym: list[int], k: int, label_rules: list[tuple[int, int]]) -
                 if p is None:
                     right_of[d] = new_pair(i, 1)
                 else:
-                    # (x, d) loses its occurrence at i when the next
-                    # replacement starts at r, so it may have lost them all
-                    # since this round made it: then its list starts again
-                    t = tail[p]
-                    if t >= 0:
-                        onx[t] = i
-                    else:
-                        head[p] = i
-                    opv[i] = t
-                    onx[i] = -1
-                    tail[p] = i
+                    where[p].append(i)
                     occ[i] = p
                     count[p] += 1
-            i = following
-        head[pair] = tail[pair] = -1
-        for p in emptied:
-            if head[p] == -1:
-                head[p] = -2  # freed once, though emptied twice
-                count[p] = 0
-                free.append(p)
+        count[pair] = 0
         for made in (left_of, right_of):
             for p in made.values():
                 freq = count[p]
                 if freq >= 2:
-                    heappush(heap, (-freq, head[p], p))
+                    heappush(heap, (-freq, first(p), p))
+                elif not freq:  # (x, d) lost every occurrence it was given
+                    emptied.append(p)
+        for p in emptied:
+            where[p] = None
+            free.append(p)
     seq = []
     i = 0
     while i >= 0:

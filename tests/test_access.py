@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from lzse.access import JUMP_FACTOR, access, build_access_index, extract, jump_budget
-from lzse.factorization import Char, Copy, Factorization, decode
+from lzse.access import access, build_access_index, extract
+from lzse.factorization import JUMP_FACTOR, Char, Copy, Factorization, decode, jump_budget
 from lzse.generators import gen_lower_bound_family
 from lzse.grammar import grammar_to_lzse, repair_compress
 from lzse.greedy import greedy_factorize

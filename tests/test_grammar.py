@@ -11,8 +11,9 @@ from lzse.grammar import Cfg, GrammarError, grammar_to_lzse, repair_compress
 from lzse.generators import gen_orsp, gen_periodic
 from lzse.text import Text
 
-from helpers import (Slp, cfg_to_slp, expand, orsp_instance, orsp_solve_from_slp,
-                     random_text, repair_compress_reference, zipf_words_pattern)
+from helpers import (Slp, block_repetitive, cfg_to_slp, expand, orsp_instance,
+                     orsp_solve_from_slp, random_text, repair_compress_reference,
+                     zipf_words_pattern)
 
 A, B, S, X, Y = 300, 301, 302, 303, 304
 
@@ -229,6 +230,25 @@ def test_repair_matches_reference_remade_pair():
     assert_repair_matches_reference(Text.from_tokens([a, b, a, b, a, a, b, a]))
 
 
+@pytest.mark.parametrize("tokens", [False, True], ids=["bytes", "tokens"])
+def test_repair_matches_reference_block_repetitive(tokens):
+    # random blocks drawn from a small pool, the shape on which the
+    # incremental rounds do all of Re-Pair's work (block-1MiB): no pair is
+    # frequent, and the rounds build each block's rules from its interior
+    rng = random.Random(71 + tokens)
+    alphabet = [rng.randrange(1 << 32) for _ in range(1024)] if tokens else range(256)
+    for _ in range(6):
+        pool = [[rng.choice(alphabet) for _ in range(rng.randint(16, 64))]
+                for _ in range(rng.randint(4, 16))]
+        size = rng.randint(1 << 12, 1 << 14)
+        seq: list[int] = []
+        while len(seq) < size:
+            seq += rng.choice(pool)
+        t = Text.from_tokens(seq[:size]) if tokens else Text.from_bytes(bytes(seq[:size]))
+        assert len(t) < grammar._PASS_MIN_N  # no numpy pass runs
+        assert_repair_matches_reference(t)
+
+
 # run lengths decide the greedy non-overlapping counts, the tie-breaks
 # between a run pair and its neighbours, and where new runs form
 @settings(max_examples=300, deadline=None)
@@ -314,10 +334,10 @@ def test_repair_peak_memory_per_symbol():
     # 2^18 symbols of periodic zipf words.  The numpy passes hold the
     # sequence as int32 (4 B), its pair keys (4 B), masks (1 B each) and
     # the kept positions (8 B per replaced pair); they leave about a
-    # quarter of the symbols to the incremental rounds, whose six Python
-    # lists of positions, position ints and two int32 run tables cost
-    # about 100 B per symbol left.  Without the passes the peak is about
-    # 105 B per symbol.
+    # quarter of the symbols to the incremental rounds, whose four Python
+    # lists of positions, the pairs' occurrence lists, position ints and
+    # two int32 run tables cost about 100 B per symbol left.  Without the
+    # passes the peak is about 105 B per symbol.
     t = gen_periodic(zipf_words_pattern(random.Random(5), 1 << 16), 4)
     tracemalloc.start()
     try:
@@ -326,6 +346,21 @@ def test_repair_peak_memory_per_symbol():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * len(t)
+
+
+def test_repair_peak_memory_per_symbol_incremental_rounds_alone():
+    # 2^16 symbols of 256-byte random blocks from a pool of 16, as in the
+    # benchmark's block corpus: no pair is frequent enough for a numpy
+    # pass, so the incremental rounds build the whole grammar.  Their peak
+    # is 110.7 B per symbol (CPython 3.11, x86-64 Linux).
+    t = block_repetitive(1, 1 << 16)
+    tracemalloc.start()
+    try:
+        repair_compress(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * len(t)
 
 
 def test_repair_rejects_empty():

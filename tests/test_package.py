@@ -61,6 +61,25 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_every_module_level_import_is_read():
+    # a module-level import that its own module never reads is dead code or
+    # a re-export, which would give a name two homes
+    package = Path(lzse.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
+
+
 # What the program runs: each CLI command in byte and token mode, both
 # compress methods, stats forked and inline, usage and data errors, the
 # one-shot reads' deep-chain fallback and the four modes of the benchmark's
