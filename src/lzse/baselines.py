@@ -283,16 +283,13 @@ def _own_entries(methods: list[str], text: Text) -> dict[str, dict]:
 def _entry(method: str, artifact) -> dict:
     fs = extract_field_streams(method, artifact)
     entry: dict = {}
-    if method in ("lzse", "repair-se"):
-        # one flag per factor, one source per copy factor
-        entry["factors"] = len(fs.streams["flag"])
-        entry["copy_factors"] = len(fs.streams["source"])
-    elif method in ("lz77", "lzss"):
-        entry["factors"] = len(artifact)
-        entry["copy_factors"] = sum(1 for f in artifact if f.length > 0)
-    else:
+    if method == "repair":
         entry["rules"] = len(artifact.rules)
         entry["grammar_size"] = artifact.size
+    else:
+        # one length (lz77) or flag per factor, one source per copy factor
+        entry["factors"] = len(fs.streams["length" if method == "lz77" else "flag"])
+        entry["copy_factors"] = len(fs.streams["source"])
     streams = {}
     total_bits = 0.0
     for name, vals in fs.streams.items():

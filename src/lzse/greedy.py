@@ -13,11 +13,12 @@ comparison is a slice compare of that buffer: a trie node's string is a
 (offset, depth) range of the text, and its edge is that string's tail.
 The trie is path compressed (PATRICIA, Morrison 1968), so it has O(z)
 nodes, and the walk costs one dict lookup and one compare per edge rather
-than per symbol.  A mark's string is whole factors, so a candidate can
-only grow past it by the next whole factor: a compare of at most 16 bytes
-settles most candidates, and only the rest are measured by galloping over
-blocks that double in size.  Inserts start from nodes the walk reached,
-not from the root.
+than per symbol.  A node is that range alone: all edges share one dict,
+and the marks, factor indices, share another.  A mark's string is whole
+factors, so a candidate can only grow past it by the next whole factor: a
+compare of at most 16 bytes settles most candidates, and only the rest
+are measured by galloping over blocks that double in size.  Inserts start
+from nodes the walk reached, not from the root.
 """
 
 from __future__ import annotations
@@ -45,30 +46,31 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
 
     # Path-compressed trie over extended factors.  Node v spells
     # text[org[v] : org[v] + dep[v]] and hangs from its parent u by the
-    # edge of its last dep[v] - dep[u] symbols; children are keyed by their
-    # edge's first symbol.  A split puts a new node above the split child,
-    # and the child keeps its string, org and dep.  So a node keeps its
-    # string for good, and a node reached by one walk can start an insert
-    # later.  Every inserted string ends at a node, which carries at most
-    # two marks (factor index, factor start position); more would
-    # contradict the at-most-twice property of extended factors.
+    # edge of its last dep[v] - dep[u] symbols; all edges share one dict,
+    # keyed by u * width + the edge's first symbol.  A split puts a new
+    # node above the split child, and the child keeps its string, org and
+    # dep.  So a node keeps its string for good, and a node reached by one
+    # walk can start an insert later.  Every inserted string ends at a
+    # node, which carries at most two marks, each a factor index whose
+    # start is bounds[fi - 1]; more would contradict the at-most-twice
+    # property of extended factors.
+    width = text.alphabet_size
     org = [0]
     dep = [0]
-    children: list[dict[int, int]] = [{}]
-    marks: list[list[tuple[int, int]] | None] = [None]
+    edges: dict[int, int] = {}
+    marks: dict[int, tuple[int, ...]] = {}
 
-    def insert(v: int, lo: int, hi: int, mark: tuple[int, int]) -> None:
+    def insert(v: int, lo: int, hi: int, fi: int) -> None:
         """Insert text[lo - dep[v] : hi], whose first dep[v] symbols v spells."""
         while lo < hi:
             dv = dep[v]
-            c = children[v].get(syms[lo])
+            key = v * width + syms[lo]
+            c = edges.get(key)
             if c is None:
                 c = len(org)
-                children[v][syms[lo]] = c
+                edges[key] = c
                 org.append(lo - dv)
                 dep.append(dv + hi - lo)
-                children.append({})
-                marks.append(None)
                 v = c
                 break
             span = dep[c] - dv
@@ -81,19 +83,16 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
             # split c's edge after the d < span symbols it shares with the string
             d = common_prefix(lo * w, e * w, (span if span < hi - lo else hi - lo) * w)
             m = len(org)
-            children[v][syms[lo]] = m
+            edges[key] = m
             org.append(org[c])
             dep.append(dv + d)
-            children.append({syms[e + d]: c})
-            marks.append(None)
+            edges[m * width + syms[e + d]] = c
             v = m
             lo += d
-        if marks[v] is None:
-            marks[v] = [mark]
-        elif len(marks[v]) >= 2:
+        node_marks = marks.get(v, ())
+        if len(node_marks) >= 2:
             raise RuntimeError("more than two marks on a trie node")
-        else:
-            marks[v].append(mark)
+        marks[v] = node_marks + (fi,)
 
     starts: list[int] = []  # the factors' flat fields, as Factorization holds them
     counts: list[int] = []
@@ -104,13 +103,12 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
     p = 0  # symbols parsed so far
     while p < n:
         best_len = 0
-        best_pos = n + 2
         best_start = best_end = 0
         v = 0
         depth = 0
         q = p  # p + depth
         while q < n:
-            c = children[v].get(syms[q])
+            c = edges.get(v * width + syms[q])
             if c is None:
                 break
             # take the whole edge or stop: no mark lies inside an edge, and
@@ -124,10 +122,10 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
             v = c
             depth = e
             q = p + e
-            node_marks = marks[v]
+            node_marks = marks.get(v)
             if node_marks is None:
                 continue
-            for fi, fpos in node_marks:
+            for fi in node_marks:
                 # the mark's string is whole factors, F_fi or F_fi F_fi+1,
                 # and the walk matched all of it, so the candidate grows
                 # past it only if the next factor F_j+1 matches too.  A
@@ -135,6 +133,7 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
                 # no more keeps a long F_j+1 from being copied on every
                 # visit.  A slice cut short by the end of the text compares
                 # unequal.
+                fpos = bounds[fi - 1]
                 j = fi if bounds[fi] - fpos == depth else fi + 1
                 cand = depth
                 if j < k:
@@ -152,9 +151,9 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
                         d = depth + common_prefix(a, b, (cap - depth) * w)
                         j = bisect_right(bounds, fpos + d) - 1
                         cand = bounds[j] - fpos
-                if cand > best_len or (cand == best_len and fpos < best_pos):
+                # starts grow with the factor index: the lower fi is leftmost
+                if cand > best_len or (cand == best_len and fi < best_start):
                     best_len = cand
-                    best_pos = fpos
                     best_start = fi
                     best_end = j
         if best_len == 0:  # a char factor
@@ -166,7 +165,7 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
         if dep[v] > flen:
             v = 0
             while True:
-                x = children[v][syms[p + dep[v]]]
+                x = edges[v * width + syms[p + dep[v]]]
                 if dep[x] > flen:
                     break
                 v = x
@@ -176,14 +175,15 @@ def greedy_factorize(text: Text, idx=None) -> Factorization:
         bounds.append(bounds[-1] + flen)
         p += flen
         if deferred:
-            insert(deferred_node, p - flen, p, (deferred, bounds[deferred - 1]))
+            insert(deferred_node, p - flen, p, deferred)
             deferred = 0
         # F_k is already in the trie iff v is a marked node at depth |F_k|;
         # the deferred insert above marks depth |F_{k-1}F_k|
-        if dep[v] == flen and marks[v] is not None:
+        if dep[v] == flen and v in marks:
             deferred = k
             deferred_node = v
         else:
-            insert(v, p - flen + dep[v], p, (k, p - flen + 1))
+            insert(v, p - flen + dep[v], p, k)
+    del org, dep, edges, marks  # the trie, freed before the copy-out
     return Factorization.from_lists(starts, counts, n, text.alphabet_size)
 

@@ -18,12 +18,14 @@ The package runs none of the paper's grammar checks, so they live here
 too: a grammar's expansion (``expand``), its Chomsky normal form
 (``Slp``, ``cfg_to_slp``) and the semigroup range-sum evaluator over that
 form (``orsp_solve_from_slp``), which answers an ORSP instance's queries
-from its grammar (acceptance criterion 3).
+from its grammar (acceptance criterion 3).  The memory pins measure a call
+with ``traced_peak``.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections.abc import Callable
 from typing import NamedTuple
@@ -556,6 +558,17 @@ def _last_symbol_is_delimiter(slp: Slp, is_delimiter: Callable[[int], bool]) -> 
         if len(rhs) == 1:
             return is_delimiter(rhs[0])
         x = rhs[1]
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes that tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def random_text(rng: random.Random, n: int, sigma: int) -> Text:

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,7 @@ from lzse.factorization import Char, Copy, Factorization
 from lzse.grammar import GrammarError
 from lzse.text import Text
 
-from helpers import deep_chain, record_index_builds
+from helpers import deep_chain, record_index_builds, traced_peak
 
 
 @pytest.fixture
@@ -351,12 +350,8 @@ def test_token_extract_peak_memory_per_symbol(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with open(out, "w") as fh:
         monkeypatch.setattr(sys, "stdout", fh)
-        tracemalloc.start()
-        try:
-            assert main(["extract", str(arc), "-l", "1", "-r", str(n)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        status, peak = traced_peak(main, ["extract", str(arc), "-l", "1", "-r", str(n)])
+    assert status == 0
     assert out.read_text() == " ".join(map(str, symbols)) + "\n"
     assert peak <= 16 * n
 

@@ -1,4 +1,3 @@
-import tracemalloc
 from array import array
 
 import pytest
@@ -9,7 +8,7 @@ from lzse.factorization import (Char, Copy, Factorization, FactorizationError,
 from lzse.text import TOKEN_ALPHABET, Text
 
 from helpers import (access_naive, compute_extended_factors, extended_factor_strings,
-                     factor_at, jump, rel)
+                     factor_at, jump, rel, traced_peak)
 
 FIG_FACTORS = [Char(97), Char(98), Copy(1, 2), Copy(2, 2), Copy(1, 3)]
 FIG_TEXT = Text.from_str("ababbababab")
@@ -213,11 +212,6 @@ def test_decode_copies_long_sources_in_pieces():
     ix = build_access_index(fact)
     expected = Text.from_tokens([7] * n)
     for expand in (decode, lambda f: extract(f, 1, n), lambda f: ix.extract(1, n)):
-        tracemalloc.start()
-        try:
-            text = expand(fact)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text, peak = traced_peak(expand, fact)
         assert text == expected
         assert peak <= 4.75 * n

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from functools import reduce
 
 import pytest
@@ -13,7 +12,7 @@ from lzse.text import Text
 
 from helpers import (Slp, block_repetitive, cfg_to_slp, expand, orsp_instance,
                      orsp_solve_from_slp, random_text, repair_compress_reference,
-                     zipf_words_pattern)
+                     traced_peak, zipf_words_pattern)
 
 A, B, S, X, Y = 300, 301, 302, 303, 304
 
@@ -339,12 +338,7 @@ def test_repair_peak_memory_per_symbol():
     # two int32 run tables cost about 100 B per symbol left.  Without the
     # passes the peak is about 105 B per symbol.
     t = gen_periodic(zipf_words_pattern(random.Random(5), 1 << 16), 4)
-    tracemalloc.start()
-    try:
-        repair_compress(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(repair_compress, t)
     assert peak <= 40 * len(t)
 
 
@@ -354,12 +348,7 @@ def test_repair_peak_memory_per_symbol_incremental_rounds_alone():
     # pass, so the incremental rounds build the whole grammar.  Their peak
     # is 110.7 B per symbol (CPython 3.11, x86-64 Linux).
     t = block_repetitive(1, 1 << 16)
-    tracemalloc.start()
-    try:
-        repair_compress(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(repair_compress, t)
     assert peak <= 120 * len(t)
 
 

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,7 +10,7 @@ from lzse.text import TOKEN_ALPHABET, Text
 
 from helpers import (block_repetitive, brute_lcp, brute_suffix_sort,
                      lcp_suffixes, random_text, suffix_index_reference,
-                     suffix_ranks, zipf_words_pattern)
+                     suffix_ranks, traced_peak, zipf_words_pattern)
 
 
 def test_banana_suffix_array():
@@ -309,10 +308,5 @@ def test_build_peak_memory_per_symbol(monkeypatch):
     for text in (Text.from_bytes(zipf_words_pattern(rng, 1 << 14) * 4),
                  block_repetitive(7, 1 << 16)):
         monkeypatch.setattr(suffixindex, "_BATCH", len(text) // 16)
-        tracemalloc.start()
-        try:
-            build_suffix_index(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(build_suffix_index, text)
         assert peak <= 36 * len(text)
